@@ -7,16 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "env/dynamic.h"
 #include "env/env_gen.h"
 #include "geom/rng.h"
 #include "perception/planner_map.h"
 #include "planning/astar.h"
 #include "runtime/designs.h"
 #include "runtime/mission.h"
+#include "store/mission_serde.h"
 
 namespace {
 
@@ -169,6 +173,88 @@ TEST(DeterminismTest, AsyncIncrementalAStarRepeatsBitwise) {
   const auto second = runtime::runMission(environment, runtime::DesignType::RoboRun, config);
   ASSERT_GT(first.decisions(), 0u);
   EXPECT_TRUE(resultsIdentical(first, second));
+}
+
+/// FNV-1a 64 folded over `bytes`, continuing from `hash`.
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Digest of one async mission: its stored-result payload (every
+/// deterministic field, doubles as exact bit patterns) followed by the
+/// per-epoch staleness sequence the decision observer reported.
+std::uint64_t asyncMissionDigest(const env::Environment& environment,
+                                 runtime::DesignType design,
+                                 runtime::MissionConfig config) {
+  config.pipeline.execution = runtime::ExecutionMode::Async;
+  std::vector<std::size_t> staleness;
+  config.decision_observer = [&staleness](std::size_t, std::size_t s) {
+    staleness.push_back(s);
+  };
+  const runtime::MissionResult result = runtime::runMission(environment, design, config);
+  EXPECT_EQ(staleness.size(), result.decisions());
+  std::uint64_t hash =
+      fnv1a64(store::serializeStoredResult({result, 1}), 0xcbf29ce484222325ULL);
+  for (const std::size_t s : staleness) {
+    const auto s64 = static_cast<std::uint64_t>(s);
+    char bytes[sizeof s64];
+    std::memcpy(bytes, &s64, sizeof s64);
+    hash = fnv1a64(std::string_view(bytes, sizeof bytes), hash);
+  }
+  return hash;
+}
+
+// Cross-commit pin for the pipelined loop. The repeat tests above only
+// compare an async run with itself, so a change to the mission loop that
+// altered async results would still pass them. These digests pin the
+// results themselves: they move only when async behavior is meant to
+// change. Floating-point results depend on the toolchain; recorded with
+// GCC 12.2 (Debian 12.2.0-14), x86-64, Release (-O3), no -march.
+TEST(DeterminismTest, AsyncGoldenDigests) {
+  const env::EnvSpec spec = shortSpec(11);
+  const env::Environment environment = env::generateEnvironment(spec);
+  const runtime::MissionConfig smoke = runtime::smokeMissionConfig();
+  struct Case {
+    const char* name;
+    runtime::DesignType design;
+    runtime::MissionConfig config;
+    std::uint64_t digest;
+  };
+  auto planner = [&smoke](runtime::PlannerMode mode) {
+    runtime::MissionConfig config = smoke;
+    config.pipeline.planner_mode = mode;
+    return config;
+  };
+  runtime::MissionConfig faults = smoke;
+  faults.faults.blackout_rate = 0.06;
+  faults.faults.blackout_len = 3;
+  faults.faults.dropout = 0.2;
+  faults.faults.spike_rate = 0.05;
+  runtime::MissionConfig movers = smoke;
+  movers.dynamic_obstacles = env::crossTraffic(spec, 4, 1.0, 3);
+
+  using runtime::DesignType;
+  using runtime::PlannerMode;
+  const Case cases[] = {
+      {"roborun_rrt", DesignType::RoboRun, planner(PlannerMode::RrtStar),
+       0xc2c7703a144da052ULL},
+      {"roborun_astar_inc", DesignType::RoboRun, planner(PlannerMode::AStarIncremental),
+       0x3cab322d6b1d4f82ULL},
+      {"oblivious_rrt", DesignType::SpatialOblivious, planner(PlannerMode::RrtStar),
+       0xbebdd44097b12c92ULL},
+      {"oblivious_astar_inc", DesignType::SpatialOblivious,
+       planner(PlannerMode::AStarIncremental), 0x5aa0d7988f366601ULL},
+      {"roborun_faults", DesignType::RoboRun, faults, 0xcb2349a29176fefdULL},
+      {"roborun_cross_traffic", DesignType::RoboRun, movers, 0xc19674b0fbb2c60eULL},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t digest = asyncMissionDigest(environment, c.design, c.config);
+    EXPECT_EQ(digest, c.digest) << c.name << ": got 0x" << std::hex << digest;
+  }
 }
 
 TEST(DeterminismTest, DifferentSeedsDiverge) {
