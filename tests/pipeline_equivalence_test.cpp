@@ -19,9 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "env/dynamic.h"
 #include "env/env_gen.h"
 #include "env/suite.h"
 #include "reference_mission.h"
@@ -61,6 +63,21 @@ MissionResult runWithStaleness(const env::Environment& environment, DesignType d
   return runtime::runMission(environment, design, config);
 }
 
+/// Run under ExecutionMode::Sync and check the observer reported one entry
+/// per decision, every one 0: sync always plans on the sweep it just
+/// integrated.
+MissionResult runSync(const env::Environment& environment, DesignType design,
+                      const MissionConfig& config) {
+  std::vector<std::size_t> staleness;
+  MissionResult result =
+      runWithStaleness(environment, design, config, ExecutionMode::Sync, &staleness);
+  EXPECT_EQ(staleness.size(), result.decisions());
+  EXPECT_EQ(std::count(staleness.begin(), staleness.end(), 0u),
+            static_cast<std::ptrdiff_t>(staleness.size()))
+      << "a sync epoch reported a stale snapshot";
+  return result;
+}
+
 // --- Sync mode: byte-identical to the frozen loop -------------------------
 
 // The equivalence anchor across a shrunken suite grid (the full Fig. 8a
@@ -79,8 +96,7 @@ TEST(PipelineEquivalence, SyncMatchesFrozenLoopAcrossSuiteGrid) {
   for (const auto& spec : specs) {
     const env::Environment environment = env::generateEnvironment(spec);
     for (const auto design : {DesignType::RoboRun, DesignType::SpatialOblivious}) {
-      const MissionResult live =
-          runWithStaleness(environment, design, config, ExecutionMode::Sync);
+      const MissionResult live = runSync(environment, design, config);
       const MissionResult frozen =
           reference::runMissionReference(environment, design, config);
       EXPECT_TRUE(runtime::missionResultsIdentical(live, frozen))
@@ -95,8 +111,7 @@ TEST(PipelineEquivalence, SyncMatchesFrozenLoopEveryPlannerMode) {
                           runtime::PlannerMode::AStarIncremental}) {
     MissionConfig config = runtime::smokeMissionConfig();
     config.pipeline.planner_mode = mode;
-    const MissionResult live = runWithStaleness(environment, DesignType::RoboRun, config,
-                                                ExecutionMode::Sync);
+    const MissionResult live = runSync(environment, DesignType::RoboRun, config);
     const MissionResult frozen =
         reference::runMissionReference(environment, DesignType::RoboRun, config);
     EXPECT_TRUE(runtime::missionResultsIdentical(live, frozen))
@@ -111,13 +126,31 @@ TEST(PipelineEquivalence, SyncMatchesFrozenLoopUnderFaults) {
   config.faults.blackout_len = 3;
   config.faults.dropout = 0.2;
   config.faults.spike_rate = 0.05;
-  const MissionResult live =
-      runWithStaleness(environment, DesignType::RoboRun, config, ExecutionMode::Sync);
+  const MissionResult live = runSync(environment, DesignType::RoboRun, config);
   const MissionResult frozen =
       reference::runMissionReference(environment, DesignType::RoboRun, config);
   ASSERT_GT(live.fault_blackouts + live.fault_spikes, 0u)
       << "fault dials produced no faults — the test lost its point";
   EXPECT_TRUE(runtime::missionResultsIdentical(live, frozen));
+}
+
+// Movers exercise the flight loop's proximity guard (brake on short
+// time-to-contact, sidestep out of a mover's bubble), which static worlds
+// never reach.
+TEST(PipelineEquivalence, SyncMatchesFrozenLoopWithCrossTraffic) {
+  const env::EnvSpec spec = shortSpec(11);
+  const env::Environment environment = env::generateEnvironment(spec);
+  MissionConfig config = runtime::smokeMissionConfig();
+  config.dynamic_obstacles = env::crossTraffic(spec, 8, 1.5, 7);
+  const MissionResult live = runSync(environment, DesignType::RoboRun, config);
+  const MissionResult frozen =
+      reference::runMissionReference(environment, DesignType::RoboRun, config);
+  EXPECT_TRUE(runtime::missionResultsIdentical(live, frozen));
+  MissionConfig unguarded = config;
+  unguarded.proximity_guard = false;
+  ASSERT_FALSE(runtime::missionResultsIdentical(
+      live, runSync(environment, DesignType::RoboRun, unguarded)))
+      << "the proximity guard never acted — the test lost its point";
 }
 
 // --- Async mode: invariants ------------------------------------------------
@@ -157,8 +190,7 @@ TEST(PipelineEquivalence, AsyncMatchesSyncTerminalStatus) {
   for (const std::uint64_t seed : {10ULL, 14ULL, 21ULL}) {
     const env::Environment environment = env::generateEnvironment(shortSpec(seed));
     const MissionConfig config = runtime::smokeMissionConfig();
-    const MissionResult sync_result =
-        runWithStaleness(environment, DesignType::RoboRun, config, ExecutionMode::Sync);
+    const MissionResult sync_result = runSync(environment, DesignType::RoboRun, config);
     const MissionResult async_result =
         runWithStaleness(environment, DesignType::RoboRun, config, ExecutionMode::Async);
     ASSERT_EQ(sync_result.status, MissionStatus::ReachedGoal) << "env seed " << seed;
@@ -203,8 +235,7 @@ TEST(PipelineEquivalence, AsyncFaultsDeterministicWithSameSchedule) {
   // The fault schedule is epoch-indexed and mode-independent: sync and
   // async replay the same blackout windows (records count may differ, so
   // compare against a sync run only loosely — both saw faults).
-  const MissionResult sync_result =
-      runWithStaleness(environment, DesignType::RoboRun, config, ExecutionMode::Sync);
+  const MissionResult sync_result = runSync(environment, DesignType::RoboRun, config);
   EXPECT_GT(sync_result.fault_blackouts + sync_result.fault_spikes, 0u);
 }
 
@@ -226,8 +257,7 @@ TEST(PipelineEquivalence, PropertySweepAcrossGeneratedWorlds) {
     const env::Environment environment = env::generateEnvironment(spec);
     const MissionConfig config = runtime::smokeMissionConfig();
 
-    const MissionResult live =
-        runWithStaleness(environment, DesignType::RoboRun, config, ExecutionMode::Sync);
+    const MissionResult live = runSync(environment, DesignType::RoboRun, config);
     const MissionResult frozen =
         reference::runMissionReference(environment, DesignType::RoboRun, config);
     ASSERT_TRUE(runtime::missionResultsIdentical(live, frozen)) << "env seed " << seed;
