@@ -45,6 +45,7 @@
 #include "core/latency_calibration.h"
 #include "env/env_gen.h"
 #include "geom/rng.h"
+#include "obs/json.h"
 #include "perception/octomap_kernel.h"
 #include "perception/point_cloud.h"
 #include "reference_governor.h"
@@ -57,6 +58,7 @@ using core::GovernorDecision;
 using core::SpaceProfile;
 using geom::Rng;
 using geom::Vec3;
+using obs::jsonNumber;
 
 bool bitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
@@ -117,15 +119,6 @@ double timeIt(Fn&& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string jsonNumber(double v, int decimals = 6) {
-  if (!(v == v) || v > 1e300 || v < -1e300) return "null";
-  std::ostringstream ss;
-  ss.setf(std::ios::fixed);
-  ss.precision(decimals);
-  ss << v;
-  return ss.str();
 }
 
 }  // namespace

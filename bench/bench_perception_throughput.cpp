@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "geom/rng.h"
+#include "obs/json.h"
 #include "perception/octree.h"
 #include "reference_octree.h"
 
@@ -42,6 +43,7 @@ using perception::OccupancyOctree;
 using perception::Occupancy;
 using perception::reference::ReferenceOctree;
 using geom::Vec3;
+using obs::jsonNumber;
 
 struct Ray {
   Vec3 origin;
@@ -114,15 +116,6 @@ double timeIt(Fn&& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string jsonNumber(double v, int decimals = 6) {
-  if (!(v == v) || v > 1e300 || v < -1e300) return "0";
-  std::ostringstream ss;
-  ss.setf(std::ios::fixed);
-  ss.precision(decimals);
-  ss << v;
-  return ss.str();
 }
 
 void writeVariant(std::ostream& os, const char* name, const VariantResult& v, bool last) {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "geom/rng.h"
+#include "obs/json.h"
 #include "perception/planner_map.h"
 #include "planning/astar.h"
 #include "planning/rrt_star.h"
@@ -47,6 +48,7 @@ using namespace roborun;
 using geom::Aabb;
 using geom::Rng;
 using geom::Vec3;
+using obs::jsonNumber;
 using perception::PlannerMap;
 using perception::VoxelBox;
 
@@ -131,15 +133,6 @@ bool resultsIdentical(const planning::AStarResult& a, const planning::AStarResul
         !bitEqual(a.path[i].z, b.path[i].z))
       return false;
   return true;
-}
-
-std::string jsonNumber(double v, int decimals = 6) {
-  if (!(v == v) || v > 1e300 || v < -1e300) return "0";
-  std::ostringstream ss;
-  ss.setf(std::ios::fixed);
-  ss.precision(decimals);
-  ss << v;
-  return ss.str();
 }
 
 struct VariantResult {

@@ -43,6 +43,7 @@
 
 #include "env/env_gen.h"
 #include "env/suite.h"
+#include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "runtime/designs.h"
 #include "runtime/mission.h"
@@ -50,6 +51,7 @@
 namespace {
 
 using namespace roborun;
+using obs::jsonNumber;
 
 struct Options {
   std::string grid = "small";
@@ -218,16 +220,6 @@ std::vector<runtime::DesignType> buildDesigns(const Options& opts) {
   if (opts.design == "roborun") return {runtime::DesignType::RoboRun};
   if (opts.design == "baseline") return {runtime::DesignType::SpatialOblivious};
   return {runtime::DesignType::SpatialOblivious, runtime::DesignType::RoboRun};
-}
-
-/// Fixed-decimal double formatting; JSON has no NaN/Inf, so map those to 0.
-std::string jsonNumber(double v, int decimals = 6) {
-  if (!(v == v) || v > 1e300 || v < -1e300) return "0";
-  std::ostringstream ss;
-  ss.setf(std::ios::fixed);
-  ss.precision(decimals);
-  ss << v;
-  return ss.str();
 }
 
 /// This run's wall-clock measurements, aggregated over all missions through
