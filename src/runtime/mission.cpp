@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -15,8 +16,6 @@ namespace {
 
 using geom::Vec3;
 
-/// Collision probe: the drone's airframe against the ground-truth world and
-/// the dynamic obstacle field (evaluated at its current time).
 /// Cooperative wall-clock watchdog token: armed once at mission start,
 /// polled at the top of every decision epoch. Wall time is a measurement of
 /// this run (like every *_wall_ms field), so the token never feeds the
@@ -38,6 +37,8 @@ class WallDeadline {
   std::chrono::steady_clock::time_point deadline_{};
 };
 
+/// Collision probe: the drone's airframe against the ground-truth world and
+/// the dynamic obstacle field (evaluated at its current time).
 bool inCollision(const env::World& world, const env::DynamicObstacleField& dynamic,
                  const Vec3& p, double radius) {
   // Static-only missions skip the dynamic-field probes entirely (the sensor
@@ -51,329 +52,10 @@ bool inCollision(const env::World& world, const env::DynamicObstacleField& dynam
   return false;
 }
 
-/// The pipelined (ExecutionMode::Async) mission loop. Same mission shape
-/// as the sync reference below — same fault plan, governor path, velocity
-/// inversion, recovery bookkeeping, record fields, terminal conditions —
-/// but each epoch's sweep is integrated on the EpochExecutor's worker,
-/// overlapped with this thread's planning and flying, and the planning
-/// stage consumes the newest PUBLISHED snapshot (at most one sweep stale)
-/// instead of the sweep just captured. Governing is unaffected: it runs
-/// between the previous sweep's publication and the next submit, so it
-/// sees the octree through sweep N-1 — exactly what sync's govern sees
-/// (sync inserts sweep N only after governing). Results are deterministic
-/// run-to-run but numerically different from sync (planning lags a sweep);
-/// the sync loop stays the byte-identical anchor.
-MissionResult runMissionAsync(const env::Environment& environment, DesignType design,
-                              const MissionConfig& config) {
-  const env::World& world = *environment.world;
-  const Vec3 start = environment.spec.start();
-  const Vec3 goal = environment.spec.goal();
-
-  sim::DepthCameraArray sensor(config.sensor);
-  env::DynamicObstacleField dynamic = config.dynamic_obstacles;
-  dynamic.setTime(0.0);
-  sim::Drone drone(config.drone);
-  drone.reset(start);
-  sim::EnergyModel energy(config.energy);
-  sim::StoppingModel stopping = config.budgeter.stopping;
-
-  NavigationPipeline pipeline(world.extent(), goal, config.pipeline,
-                              config.seed * 2654435761ULL + 1);
-
-  if (config.shared_engine && config.solver_strategy == core::StrategyType::Exhaustive) {
-    pipeline.installEngine(config.shared_engine);
-  } else {
-    core::DecisionEngine::Config engine_config;
-    engine_config.knobs = config.knobs;
-    engine_config.budgeter = config.budgeter;
-    engine_config.profiler = config.profiler;
-    // A private engine records its governor sub-spans (profile/budget/
-    // solve) into the same recorder the mission loop uses; null means off.
-    engine_config.spans = config.pipeline.spans;
-    auto engine = core::DecisionEngine::calibrated(
-        sim::LatencyModel(config.pipeline.latency), engine_config);
-    engine->selectStrategy(config.solver_strategy);
-    pipeline.installEngine(std::move(engine));
-  }
-  const core::StaticGovernor oblivious(config.knobs, stopping, config.static_design);
-
-  // Declared after the pipeline: destruction joins the worker (draining any
-  // in-flight sweep) before the pipeline it integrates into goes away —
-  // including on the exception paths (poison fault, worker rethrow).
-  EpochExecutor executor(pipeline);
-  // The newest published snapshot — what planning reads. Slot references
-  // stay valid until reused two submits later; we re-point this every
-  // publish, so it is never read after its slot is reclaimed.
-  const EpochExecutor::Snapshot* snapshot = nullptr;
-
-  MissionResult result;
-  double t = 0.0;
-  double commanded_speed = 0.0;
-  Vec3 prev_pos = start;
-
-  std::vector<Vec3> breadcrumbs{start};
-  int consecutive_plan_failures = 0;
-
-  const WallDeadline wall_deadline(config.max_wall_ms);
-  const sim::FaultPlan fault_plan(config.seed, config.faults);
-  // Observability: null means off — no clocks, no atomics, one branch per
-  // site (the overhead contract). The recorder only ever observes; the
-  // tier2 byte-identity suite pins that results are unchanged by it.
-  obs::SpanRecorder* const spans = config.pipeline.spans;
-
-  while (t < config.max_mission_time) {
-    if (wall_deadline.expired()) {
-      result.status = MissionStatus::AbortedWallDeadline;
-      break;
-    }
-    const std::size_t epoch = result.records.size();
-    if (spans) obs::SpanRecorder::setEpoch(epoch);
-    const sim::FaultEpoch fault =
-        fault_plan.active() ? fault_plan.at(epoch) : sim::FaultEpoch{};
-    if (fault.poisoned)
-      throw std::runtime_error("fault plan: poisoned at epoch " +
-                               std::to_string(epoch));
-    const Vec3 pos = drone.state().position;
-    const Vec3 vel = drone.state().velocity;
-
-    // --- sense (overlapped with the worker finishing sweep N-1) ---
-    const std::size_t obs_capture =
-        spans ? spans->begin(obs::Stage::Capture) : obs::SpanRecorder::kNoSpan;
-    double ambient = std::min(config.sensor.weather_visibility,
-                              environment.spec.weatherVisibilityAt(pos.x));
-    if (fault.blackout) {
-      ambient = std::min(ambient, fault_plan.config().blackout_visibility);
-      ++result.fault_blackouts;
-    }
-    sensor.setWeatherVisibility(ambient);
-    sim::SensorFrame frame =
-        sensor.capture(world, pos, dynamic.empty() ? nullptr : &dynamic);
-    if (fault_plan.config().dropout > 0.0)
-      frame = fault_plan.degradeFrame(frame, epoch);
-    if (spans) spans->end(obs_capture);
-
-    // --- retire sweep N-1: await its integration and publish it, so the
-    // governor (and this epoch's planning) see the map through N-1 ---
-    if (executor.pending()) {
-      snapshot = &executor.await();
-      // The publish span belongs to the sweep being published (N-1), not
-      // the epoch consuming it; restore the loop's epoch right after.
-      if (spans) obs::SpanRecorder::setEpoch(snapshot->epoch);
-      pipeline.publishPerception(snapshot->perception);
-      if (spans) obs::SpanRecorder::setEpoch(epoch);
-    }
-
-    // --- profile + govern (identical inputs to the sync loop: the octree
-    // holds sweeps 0..N-1 and the worker is idle until the next submit) ---
-    const std::size_t obs_govern =
-        spans ? spans->begin(obs::Stage::Govern) : obs::SpanRecorder::kNoSpan;
-    const auto govern_start = std::chrono::steady_clock::now();
-    core::SpaceProfile profile;
-    core::GovernorDecision decision;
-    double runtime_latency = 0.0;
-    if (design == DesignType::RoboRun) {
-      if (fault.blackout) {
-        profile = pipeline.profileSpace(frame, pos, vel);
-        decision = pipeline.engine()->blackoutFallback(profile);
-        runtime_latency = config.pipeline.latency.runtime_static;
-      } else {
-        core::EngineDecision governed = pipeline.govern(frame, pos, vel);
-        profile = std::move(governed.profile);
-        decision = governed.decision;
-        runtime_latency = config.pipeline.latency.runtime_governor;
-      }
-    } else {
-      profile = pipeline.profileSpace(frame, pos, vel);
-      decision = oblivious.decide();
-      runtime_latency = config.pipeline.latency.runtime_static;
-    }
-    result.decision_wall_ms += std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - govern_start)
-                                   .count();
-    if (spans) spans->end(obs_govern);
-
-    // --- hand sweep N to the worker, then decide on the published
-    // snapshot while it integrates ---
-    executor.submit(epoch, frame, pos, decision.policy,
-                    pipeline.goalOverride().has_value());
-    std::size_t staleness = 0;
-    if (snapshot == nullptr) {
-      // Pipeline fill (epoch 0): nothing published yet. Await sweep 0
-      // immediately — the first decision plans on fresh data, exactly like
-      // sync's first epoch — and the overlap starts at epoch 1.
-      snapshot = &executor.await();
-      pipeline.publishPerception(snapshot->perception);
-    }
-    staleness = epoch - static_cast<std::size_t>(snapshot->epoch);
-    DecisionOutcome outcome =
-        pipeline.planStage(snapshot->perception, pos, decision.policy, runtime_latency,
-                           &snapshot->hint);
-    if (fault.spike) {
-      const double mag = fault_plan.config().spike_mag;
-      outcome.latencies.point_cloud *= mag;
-      outcome.latencies.octomap *= mag;
-      outcome.latencies.bridge *= mag;
-      outcome.latencies.planning *= mag;
-      outcome.latencies.smoothing *= mag;
-      ++result.fault_spikes;
-    }
-    const double latency = outcome.latencies.total();
-
-    // --- dead-end recovery bookkeeping (same policy as sync) ---
-    if (outcome.plan_failed) {
-      ++consecutive_plan_failures;
-      if (consecutive_plan_failures >= 3 && breadcrumbs.size() > 1) {
-        const std::size_t hop = 10 + 5 * static_cast<std::size_t>(
-                                          std::min(consecutive_plan_failures / 3, 8));
-        const std::size_t idx = breadcrumbs.size() > hop ? breadcrumbs.size() - hop : 0;
-        pipeline.setGoalOverride(breadcrumbs[idx]);
-      }
-    } else if (outcome.replanned) {
-      consecutive_plan_failures = 0;
-    }
-    if (pipeline.goalOverride() &&
-        pos.dist(*pipeline.goalOverride()) < config.pipeline.goal_radius * 1.5)
-      pipeline.setGoalOverride(std::nullopt);
-
-    // --- decide the safe velocity (same inversion as sync) ---
-    double speed = 0.0;
-    if (design == DesignType::RoboRun) {
-      const double horizon =
-          pipeline.trajectory().empty()
-              ? profile.visibility
-              : std::min(profile.visibility, profile.d_unknown);
-      speed = std::min(config.v_max_dynamic, stopping.safeCommandVelocity(latency, horizon));
-    } else {
-      speed = oblivious.staticVelocity();
-    }
-    if (outcome.plan_failed || !pipeline.follower().hasTrajectory()) speed = 0.0;
-    if (fault.blackout) speed = 0.0;
-    const bool retreat =
-        !fault.blackout && profile.d_obstacle < config.drone.collision_radius + 0.1;
-    commanded_speed = retreat ? config.creep_velocity * 0.8 : speed;
-
-    // --- record (same fields as sync; perception latencies are the
-    // consumed snapshot's, so records lag one sweep on those stages) ---
-    DecisionRecord rec;
-    rec.t = t;
-    rec.position = pos;
-    rec.zone = environment.spec.zoneOf(pos.x);
-    rec.velocity = vel.norm();
-    rec.commanded_velocity = commanded_speed;
-    rec.visibility = profile.visibility;
-    rec.known_free_horizon = profile.d_unknown;
-    rec.deadline = decision.budget;
-    rec.latencies = outcome.latencies;
-    rec.policy = decision.policy;
-    rec.replanned = outcome.replanned;
-    rec.plan_failed = outcome.plan_failed;
-    rec.budget_met = decision.budget_met;
-    rec.cpu_utilization =
-        std::min(1.0, outcome.latencies.compute() / std::max(decision.budget, 1e-3));
-    result.records.push_back(rec);
-    result.planner_wall_ms += outcome.plan_wall_ms;
-    if (config.decision_observer) config.decision_observer(epoch, staleness);
-
-    energy.integrate(0.0, 0.0, outcome.latencies.compute());
-
-    // --- fly the decision interval (verbatim sync flight code; the worker
-    // integrates sweep N underneath) ---
-    const std::size_t obs_fly =
-        spans ? spans->begin(obs::Stage::Fly) : obs::SpanRecorder::kNoSpan;
-    const double period = std::max(latency, config.min_decision_period);
-    double flown = 0.0;
-    bool terminal = false;
-    const Vec3 away = -frame.closestHitDirection();
-    while (flown < period && !terminal) {
-      const double dt = std::min(config.sim_dt, period - flown);
-      Vec3 cmd;
-      if (retreat && away.norm() > 0.5) {
-        cmd = Vec3{away.x, away.y, 0.0}.normalized() * commanded_speed;
-      } else {
-        cmd = pipeline.follower().velocityCommand(drone.state().position, commanded_speed, dt);
-      }
-      if (!dynamic.empty() && config.proximity_guard) {
-        const Vec3 here = drone.state().position;
-        const double speed_now = std::max(cmd.norm(), drone.state().speed());
-        bool brake = false;
-        if (speed_now > 0.05) {
-          const Vec3 heading = cmd.norm() > 0.05 ? cmd.normalized()
-                                                 : drone.state().velocity.normalized();
-          const Vec3 side = Vec3{-heading.y, heading.x, 0.0} * 0.36;
-          const double margin = stopping.stoppingDistance(speed_now) +
-                                2.0 * config.drone.collision_radius;
-          for (const Vec3& probe :
-               {heading, (heading + side).normalized(), (heading - side).normalized()}) {
-            const auto tohit = dynamic.raycast(here, probe, 25.0);
-            if (tohit && *tohit < margin) {
-              brake = true;
-              break;
-            }
-          }
-        }
-        const double bubble = 2.5 * config.drone.collision_radius + 0.5;
-        const double closest = dynamic.nearestObstacleXY(here, bubble + 1.0);
-        if (brake) cmd = {0.0, 0.0, 0.0};
-        if (closest < bubble) {
-          Vec3 escape{0.0, 0.0, 0.0};
-          for (std::size_t i = 0; i < dynamic.size(); ++i) {
-            const Vec3 c = dynamic.positionOf(i);
-            const Vec3 away_xy{here.x - c.x, here.y - c.y, 0.0};
-            if (away_xy.norm() < bubble + dynamic.obstacles()[i].radius)
-              escape = escape + away_xy.normalized();
-          }
-          if (escape.norm() > 0.1) {
-            const Vec3 dir = escape.normalized();
-            if (world.visibility(here, dir, 3.0) >= 3.0 - 1e-9)
-              cmd = dir * std::max(config.creep_velocity, 1.0);
-            else
-              cmd = {0.0, 0.0, 0.0};
-          }
-        }
-      }
-      drone.commandVelocity(cmd);
-      drone.update(dt);
-      flown += dt;
-      dynamic.advance(dt);
-      const Vec3 p = drone.state().position;
-      energy.integrate(drone.state().speed(), dt);
-      result.distance_traveled += p.dist(prev_pos);
-      prev_pos = p;
-      if (p.dist(breadcrumbs.back()) > 2.0) breadcrumbs.push_back(p);
-      if (inCollision(world, dynamic, p, config.drone.collision_radius)) {
-        result.status = MissionStatus::Collided;
-        terminal = true;
-      } else if (p.dist(goal) <= config.pipeline.goal_radius) {
-        result.status = MissionStatus::ReachedGoal;
-        terminal = true;
-      } else if (config.enforce_battery &&
-                 energy.totalEnergy() > config.battery.usable()) {
-        result.status = MissionStatus::EnergyExhausted;
-        terminal = true;
-      }
-    }
-    if (spans) spans->end(obs_fly);
-    t += flown;
-    if (terminal) break;
-  }
-
-  result.mission_time = t;
-  if (config.enforce_battery && config.battery.capacity > 0.0) {
-    sim::Battery pack(config.battery);
-    pack.drain(energy.totalEnergy());
-    result.battery_soc = pack.stateOfCharge();
-  }
-  result.flight_energy = energy.flightEnergy();
-  result.compute_energy = energy.computeEnergy();
-  return result;
-}
-
 }  // namespace
 
 MissionResult runMission(const env::Environment& environment, DesignType design,
                          const MissionConfig& config) {
-  if (config.pipeline.execution == ExecutionMode::Async)
-    return runMissionAsync(environment, design, config);
   const env::World& world = *environment.world;
   const Vec3 start = environment.spec.start();
   const Vec3 goal = environment.spec.goal();
@@ -418,6 +100,16 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
     pipeline.installEngine(std::move(engine));
   }
   const core::StaticGovernor oblivious(config.knobs, stopping, config.static_design);
+
+  // Async only: the worker that integrates sweep N while this thread
+  // governs, plans and flies; a sync mission starts no thread. Declared
+  // after the pipeline, so destruction joins the worker (draining any
+  // in-flight sweep) before the pipeline goes away, on the throw paths too.
+  std::optional<EpochExecutor> executor;
+  if (config.pipeline.execution == ExecutionMode::Async) executor.emplace(pipeline);
+  // The newest published snapshot, which async planning reads. Its slot is
+  // reused two submits later; this is re-pointed every publish first.
+  const EpochExecutor::Snapshot* snapshot = nullptr;
 
   MissionResult result;
   double t = 0.0;
@@ -476,7 +168,22 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
       frame = fault_plan.degradeFrame(frame, epoch);
     if (spans) spans->end(obs_capture);
 
-    // --- profile + govern (the pipeline's DecisionEngine owns the path) ---
+    // --- async: retire sweep N-1 (overlapped with the capture above): await
+    // its integration and publish it, so the governor and this epoch's
+    // planning see the map through N-1 ---
+    if (executor && executor->pending()) {
+      snapshot = &executor->await();
+      // The publish span belongs to the sweep being published (N-1), not
+      // the epoch consuming it; restore the loop's epoch right after.
+      if (spans) obs::SpanRecorder::setEpoch(snapshot->epoch);
+      pipeline.publishPerception(snapshot->perception);
+      if (spans) obs::SpanRecorder::setEpoch(epoch);
+    }
+
+    // --- profile + govern (the pipeline's DecisionEngine owns the path).
+    // Both modes govern on the octree through sweep N-1: sync inserts sweep
+    // N only after governing, and the async worker is idle until the next
+    // submit ---
     const std::size_t obs_govern =
         spans ? spans->begin(obs::Stage::Govern) : obs::SpanRecorder::kNoSpan;
     const auto govern_start = std::chrono::steady_clock::now();
@@ -509,8 +216,28 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
                                    .count();
     if (spans) spans->end(obs_govern);
 
-    // --- execute the pipeline under the policy ---
-    DecisionOutcome outcome = pipeline.decide(frame, pos, decision.policy, runtime_latency);
+    // --- execute the pipeline under the policy. Sync integrates sweep N
+    // and plans on it (staleness 0). Async hands sweep N to the worker and
+    // plans on the newest published snapshot while it integrates, at most
+    // one sweep stale ---
+    DecisionOutcome outcome;
+    std::size_t staleness = 0;
+    if (executor) {
+      executor->submit(epoch, frame, pos, decision.policy,
+                       pipeline.goalOverride().has_value());
+      if (snapshot == nullptr) {
+        // Pipeline fill (epoch 0): nothing published yet. Await sweep 0
+        // immediately, so the first decision plans on fresh data exactly
+        // like sync's first epoch; the overlap starts at epoch 1.
+        snapshot = &executor->await();
+        pipeline.publishPerception(snapshot->perception);
+      }
+      staleness = epoch - static_cast<std::size_t>(snapshot->epoch);
+      outcome = pipeline.planStage(snapshot->perception, pos, decision.policy,
+                                   runtime_latency, &snapshot->hint);
+    } else {
+      outcome = pipeline.decide(frame, pos, decision.policy, runtime_latency);
+    }
     if (fault.spike) {
       // Compute-latency spike: scale the modeled compute-stage latencies
       // (comm and the governor's own runtime cost are untouched). The
@@ -580,7 +307,8 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
         !fault.blackout && profile.d_obstacle < config.drone.collision_radius + 0.1;
     commanded_speed = retreat ? config.creep_velocity * 0.8 : speed;
 
-    // --- record ---
+    // --- record (under async, the perception latencies are the consumed
+    // snapshot's, so records lag one sweep on those stages) ---
     DecisionRecord rec;
     rec.t = t;
     rec.position = pos;
@@ -599,12 +327,12 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
         std::min(1.0, outcome.latencies.compute() / std::max(decision.budget, 1e-3));
     result.records.push_back(rec);
     result.planner_wall_ms += outcome.plan_wall_ms;
-    // Sync planning always consumes the sweep just integrated: staleness 0.
-    if (config.decision_observer) config.decision_observer(epoch, 0);
+    if (config.decision_observer) config.decision_observer(epoch, staleness);
 
     energy.integrate(0.0, 0.0, outcome.latencies.compute());
 
-    // --- fly the decision interval ---
+    // --- fly the decision interval (under async, the worker integrates
+    // sweep N underneath) ---
     const std::size_t obs_fly =
         spans ? spans->begin(obs::Stage::Fly) : obs::SpanRecorder::kNoSpan;
     const double period = std::max(latency, config.min_decision_period);

@@ -108,18 +108,19 @@ struct MissionConfig {
   /// was — always 0 under ExecutionMode::Sync, at most 1 under Async (the
   /// pipelined executor's bounded-staleness contract, which
   /// pipeline_equivalence_test and bench_mission_latency assert through
-  /// this hook). Observes only; it must not touch mission state, and a
-  /// null hook (the default) leaves both loops on their exact frozen code
-  /// paths.
+  /// this hook). Observes only; it must not touch mission state, and the
+  /// mission loop runs the same code with or without it (null, the
+  /// default, skips the call).
   std::function<void(std::size_t epoch, std::size_t staleness)> decision_observer;
 };
 
-/// Run one full mission of `design` through `environment`. Dispatches on
-/// config.pipeline.execution: Sync runs the frozen reference loop
-/// (byte-identical to tests/reference_mission.h); Async runs the same
-/// mission shape with sweep integration overlapped one epoch ahead
-/// (runtime/epoch_executor.h) — deterministic, same safety invariants,
-/// different (stale-by-one-planning) numeric results.
+/// Run one full mission of `design` through `environment`. There is one
+/// mission loop; config.pipeline.execution picks how each epoch's sweep
+/// reaches the planner. Sync integrates it inline and plans on it
+/// (byte-identical to tests/reference_mission.h). Async integrates it on an
+/// EpochExecutor worker (runtime/epoch_executor.h) while the loop plans on
+/// the newest published snapshot, at most one sweep stale: deterministic,
+/// same safety invariants, different numeric results.
 MissionResult runMission(const env::Environment& environment, DesignType design,
                          const MissionConfig& config = {});
 

@@ -44,6 +44,9 @@ namespace roborun::runtime {
 enum class PlannerMode { RrtStar, AStar, AStarIncremental };
 
 /// How the mission runner schedules the pipeline's stages within an epoch.
+/// Both modes run the one mission loop (runtime::runMission); Async is a
+/// branch in it that changes where sweep N is integrated and which map the
+/// planner reads.
 ///
 /// Sync is the frozen reference: every stage of epoch N runs to completion
 /// on the calling thread before the interval is flown — mission results are
