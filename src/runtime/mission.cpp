@@ -108,7 +108,7 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
   std::optional<EpochExecutor> executor;
   if (config.pipeline.execution == ExecutionMode::Async) executor.emplace(pipeline);
   // The newest published snapshot, which async planning reads. Its slot is
-  // reused two submits later; this is re-pointed every publish first.
+  // reused two submits later; this pointer moves to each publish before then.
   const EpochExecutor::Snapshot* snapshot = nullptr;
 
   MissionResult result;
