@@ -1,6 +1,6 @@
-// DecisionEngine — the unified, memoized governor core shared by both
-// runtime pipelines (the procedural mission runner through
-// runtime::NavigationPipeline, and the mini-ROS GovernorNode).
+// DecisionEngine — the unified, memoized governor core the mission runner
+// decides through (via runtime::NavigationPipeline; one engine per mission,
+// or one shared by a fleet's concurrent missions).
 //
 // It owns the full per-decision path the paper's governor runs each sensor
 // sweep:
@@ -189,7 +189,7 @@ class DecisionEngine {
 
   /// Build an engine whose Eq. 4 predictor is freshly calibrated against
   /// the given simulator latency model (core/latency_calibration.h). This
-  /// is how both runtime pipelines construct their engine: the
+  /// is how the mission runner and the fleet scheduler build engines: the
   /// latency-model -> predictor feedback stays behind the engine boundary,
   /// so clients hand over ground truth, never fitted coefficients.
   static std::shared_ptr<DecisionEngine> calibrated(const sim::LatencyModel& latency_model,

@@ -35,7 +35,7 @@ double modeledStageLatency(Stage stage, double precision, double volume,
       const double area = std::pow(36.0 * std::numbers::pi, 1.0 / 3.0) *
                           std::pow(std::max(volume, 1.0), 2.0 / 3.0);
       const double nodes = scene.surface_fraction * area / (precision * precision);
-      const double comm_per_node = 16.0 / 2.0e6;  // see runtime CommModel
+      const double comm_per_node = 16.0 / sim::CommModel{}.bytes_per_second;
       return model.bridge(static_cast<std::size_t>(std::max(1.0, nodes))) +
              nodes * comm_per_node;
     }

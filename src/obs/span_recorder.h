@@ -41,7 +41,7 @@ namespace roborun::obs {
 enum class Stage : std::uint8_t {
   Capture = 0,      // sensor frame capture + degradation
   Integrate = 1,    // octree sweep integration + planner-map bridge
-  Publish = 2,      // perception snapshot publication onto the bus
+  Publish = 2,      // perception snapshot made visible to govern + plan
   Govern = 3,       // governor decision (engine sub-stages via detail)
   Plan = 4,         // plan stage: validity check + replan when dirty
   Smooth = 5,       // path smoothing inside a replan

@@ -25,9 +25,9 @@
 //     volume operator.
 //
 // One arena serves one planner at a time (searches borrow it via
-// beginAStar()/the planPath overload); NavigationPipeline and PlannerNode
-// each own one, so successive replans of a mission reuse the same memory
-// while concurrent missions stay isolated.
+// beginAStar()/the planPath overload); each NavigationPipeline owns one,
+// so successive replans of a mission reuse the same memory while concurrent
+// missions stay isolated.
 #pragma once
 
 #include <cstddef>

@@ -20,7 +20,7 @@
 // Ownership split while a sweep is in flight (submit -> await): the worker
 // owns the pipeline's world model (octree + bridge delta) through
 // NavigationPipeline::integrateSweep; the caller owns everything else
-// (engine, follower, planner state, RNG, bus, goal override). The worker
+// (engine, follower, planner state, RNG, goal override). The worker
 // never touches the caller's side — the inputs it needs from it (planned
 // path, recovery flag, prewarm probe) are captured by value at submit().
 //

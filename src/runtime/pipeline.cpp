@@ -17,11 +17,7 @@ NavigationPipeline::NavigationPipeline(const geom::Aabb& world_extent, const Vec
       goal_(goal),
       octree_(std::make_unique<perception::OccupancyOctree>(world_extent, 0.3)),
       rng_(seed),
-      latency_model_(config.latency),
-      bus_(config.comm),
-      pc_pub_(&bus_, "/sensor/points"),
-      map_pub_(&bus_, "/map/planner"),
-      traj_pub_(&bus_, "/trajectory") {}
+      latency_model_(config.latency) {}
 
 bool NavigationPipeline::needsReplan(const perception::PlannerMap& map, const Vec3& position,
                                      double check_precision, std::size_t& steps_out) const {
@@ -113,12 +109,9 @@ DecisionOutcome NavigationPipeline::decide(const sim::SensorFrame& frame, const 
                                            const core::PipelinePolicy& policy,
                                            double runtime_latency) {
   // The sync composition of the three stage methods. Byte-identical to the
-  // pre-split monolithic decide(): the only reordering is that the two
-  // perception publishes and the engine's map-change note now happen
-  // together (after the bridge) instead of interleaved with the kernels —
-  // unobservable, because publish() only enqueues a value copy (delivery
-  // stays in spinAll, in the same pc -> map -> trajectory order), the
-  // bridge never reads the engine, and the kernels never read the bus.
+  // pre-split monolithic decide(): the only reordering is that the engine's
+  // map-change note now happens after the bridge instead of between the
+  // kernels — unobservable, because the bridge never reads the engine.
   const auto traj_positions = follower_.trajectory().positions();
   const PerceptionOutcome perception =
       integrateSweep(frame, position, policy, traj_positions, goal_override_.has_value());
@@ -174,18 +167,15 @@ PerceptionOutcome NavigationPipeline::integrateSweep(const sim::SensorFrame& fra
   out.bridge_report = bridge.report;
   out.latencies.bridge = latency_model_.bridge(bridge.report.nodes);
   out.latencies.comm_map = config_.comm.cost(perception::byteSizeOf(bridge.msg));
-  out.cloud = std::move(ds.cloud);
   out.map_msg = std::move(bridge.msg);
   return out;
 }
 
 void NavigationPipeline::publishPerception(const PerceptionOutcome& perception) {
   obs::ScopedSpan obs_span(config_.spans, obs::Stage::Publish);
-  pc_pub_.publish(perception.cloud);
   // Feed the governor core's incremental profiler the same dirty region the
   // incremental planner consumes: everything this sweep may have changed.
   if (engine_) engine_->noteMapChanged(perception.octomap_report.touched, engine_client_);
-  map_pub_.publish(perception.map_msg);
   // This sweep's map change joins the pending dirty set whether or not the
   // next plan stage replans — the incremental planner must see every change
   // since it last ran, not just the final epoch's.
@@ -278,8 +268,8 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
     }
 
     if (plan_found) {
-      // Covers smoothing plus the trajectory handoff (follower + publish
-      // enqueue) — nested inside this epoch's plan span.
+      // Covers smoothing plus the trajectory handoff to the follower —
+      // nested inside this epoch's plan span.
       obs::ScopedSpan smooth_span(config_.spans, obs::Stage::Smooth);
       planning::SmootherParams sp;
       sp.v_max = config_.v_max;
@@ -293,7 +283,6 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
       if (engine_) engine_->noteTrajectoryChanged(engine_client_);
       out.latencies.comm_trajectory =
           config_.comm.cost(planning::byteSizeOf(smooth.trajectory));
-      traj_pub_.publish(smooth.trajectory);
     } else {
       out.plan_failed = true;
       // The old trajectory is invalid (that is why we replanned) and no new
@@ -313,11 +302,6 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
                                              ? out.rrt_report.iterations
                                              : out.astar_report.expansions;
   out.latencies.planning = latency_model_.planner(planner_iterations, planning_steps);
-
-  // Deliver the published messages through the middleware (the comm cost is
-  // already charged above via the same model; this keeps the bus ledger and
-  // any external subscribers consistent).
-  bus_.spinAll();
   return out;
 }
 

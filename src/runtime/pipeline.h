@@ -1,11 +1,11 @@
 // The navigation pipeline: perception -> perception-to-planning -> planning
 // -> control, executing one decision per sensor sweep under a knob policy.
 //
-// Stage outputs are published on mini-ROS topics ("/sensor/points",
-// "/map/planner", "/trajectory") so communication is charged through the
-// middleware's cost model exactly where ROS would charge it; the per-stage
-// compute latencies come from each kernel's work report through the
-// deterministic latency model.
+// Each stage output that ROS would carry between nodes (downsampled point
+// cloud, planner map, trajectory) is charged a communication latency from
+// its payload size through sim::CommModel; the per-stage compute latencies
+// come from each kernel's work report through the deterministic latency
+// model.
 #pragma once
 
 #include <memory>
@@ -17,8 +17,6 @@
 #include "core/decision_engine.h"
 #include "core/policy.h"
 #include "geom/rng.h"
-#include "miniros/bus.h"
-#include "miniros/node.h"
 #include "obs/span_recorder.h"
 #include "perception/map_bridge.h"
 #include "perception/octomap_kernel.h"
@@ -93,7 +91,7 @@ struct PipelineConfig {
   double astar_goal_tolerance = 3.0;      ///< m; A*-mode goal acceptance
   std::size_t astar_max_expansions = 200000;
   sim::LatencyConfig latency;
-  miniros::CommModel comm{0.003, 2.0e6};
+  sim::CommModel comm;
   /// Fleet hook: a borrowed persistent PlannerArena used instead of the
   /// pipeline's own. Every planner call resets the arena (O(1) stamps) on
   /// entry, so results are bit-identical whether the arena is fresh or has
@@ -115,18 +113,17 @@ struct PipelineConfig {
 
 /// Everything one sensor sweep's perception half produces: the modeled
 /// stage latencies for the perception stages, the kernels' work reports,
-/// and the two messages the sweep publishes (downsampled cloud + planner
-/// map). Built by NavigationPipeline::integrateSweep — on the calling
-/// thread in sync mode, on the epoch executor's worker in async mode —
-/// and handed back to the pipeline via publishPerception + planStage.
+/// and the planner map the bridge built. Built by
+/// NavigationPipeline::integrateSweep — on the calling thread in sync mode,
+/// on the epoch executor's worker in async mode — and handed back to the
+/// pipeline via publishPerception + planStage.
 struct PerceptionOutcome {
   /// Only the perception fields are populated: point_cloud, octomap,
   /// bridge, comm_point_cloud, comm_map. planStage fills the rest.
   StageLatencies latencies;
   perception::OctomapInsertReport octomap_report;
   perception::BridgeReport bridge_report;
-  perception::PointCloud cloud;        ///< downsampled; for "/sensor/points"
-  perception::PlannerMapMsg map_msg;   ///< the bridge's output ("/map/planner")
+  perception::PlannerMapMsg map_msg;   ///< the bridge's output
 };
 
 struct DecisionOutcome {
@@ -177,18 +174,17 @@ class NavigationPipeline {
                                    std::span<const geom::Vec3> traj_positions,
                                    bool recovery_inflation);
 
-  /// Publish a sweep's outputs into this pipeline's side effects: the two
-  /// topic messages, the engine's map-change note, and the pending dirty
-  /// region the incremental planner consumes. Caller's thread only — this
-  /// is the moment an integrated sweep becomes visible to governing and
-  /// planning (async calls it when it consumes a snapshot; sync right after
-  /// integrateSweep).
+  /// Publish a sweep's outputs into this pipeline's side effects: the
+  /// engine's map-change note and the pending dirty region the incremental
+  /// planner consumes. Caller's thread only — this is the moment an
+  /// integrated sweep becomes visible to governing and planning (async
+  /// calls it when it consumes a snapshot; sync right after integrateSweep).
   void publishPerception(const PerceptionOutcome& perception);
 
   /// Planning half of a decision: replan check against `perception`'s map,
-  /// plan + smooth if needed, charge planning/comm latencies, deliver the
-  /// bus. Copies `perception`'s latencies/reports into the returned
-  /// outcome so one DecisionOutcome per epoch keeps its sync shape. `hint`
+  /// plan + smooth if needed, charge planning/comm latencies. Copies
+  /// `perception`'s latencies/reports into the returned outcome so one
+  /// DecisionOutcome per epoch keeps its sync shape. `hint`
   /// (nullable) is a pre-computed dirty-region verdict for the incremental
   /// A* planner — results are bit-identical with or without it (see
   /// planning/astar.h); only AStarIncremental mode consults it.
@@ -229,7 +225,6 @@ class NavigationPipeline {
   const control::TrajectoryFollower& follower() const { return follower_; }
   control::TrajectoryFollower& follower() { return follower_; }
   const geom::Vec3& goal() const { return goal_; }
-  miniros::Bus& bus() { return bus_; }
   const PipelineConfig& config() const { return config_; }
 
   /// The current planned trajectory (empty before the first plan).
@@ -271,10 +266,6 @@ class NavigationPipeline {
   geom::Aabb pending_plan_dirty_ = geom::Aabb::empty();
   geom::Rng rng_;
   sim::LatencyModel latency_model_;
-  miniros::Bus bus_;
-  miniros::Publisher<perception::PointCloud> pc_pub_;
-  miniros::Publisher<perception::PlannerMapMsg> map_pub_;
-  miniros::Publisher<planning::Trajectory> traj_pub_;
 };
 
 }  // namespace roborun::runtime

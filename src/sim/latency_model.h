@@ -49,6 +49,20 @@ struct LatencyConfig {
   double runtime_static = 0.002;
 };
 
+/// Inter-stage communication cost. Fig. 11a of the paper splits decision
+/// latency into computation and communication stages, and the comm share
+/// depends on the message payload (point cloud, planner map, trajectory).
+/// ROS charges serialization + transport per message; this charges a fixed
+/// per-message overhead plus bytes over an effective transport rate.
+struct CommModel {
+  double base_latency = 0.003;      ///< s; per-message serialization overhead
+  double bytes_per_second = 2.0e6;  ///< effective intra-host transport rate
+
+  double cost(std::size_t bytes) const {
+    return base_latency + static_cast<double>(bytes) / bytes_per_second;
+  }
+};
+
 class LatencyModel {
  public:
   LatencyModel() = default;

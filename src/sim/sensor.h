@@ -59,11 +59,6 @@ struct SensorFrame {
   std::size_t rayCount() const { return rays.size(); }
 };
 
-/// Comm payload of a raw frame published on a bus (per-ray depth + points).
-inline std::size_t byteSizeOf(const SensorFrame& frame) {
-  return 64 + frame.rays.size() * 16 + frame.points.size() * 12;
-}
-
 class DepthCameraArray {
  public:
   explicit DepthCameraArray(const SensorConfig& config = {}) : config_(config) {}

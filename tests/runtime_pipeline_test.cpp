@@ -5,6 +5,7 @@
 #include "env/env_gen.h"
 #include "runtime/metrics.h"
 #include "runtime/pipeline.h"
+#include "sim/latency_model.h"
 #include "sim/sensor.h"
 
 namespace roborun::runtime {
@@ -100,22 +101,48 @@ TEST(PipelineTest, NoReplanWhenTrajectoryStillValid) {
   EXPECT_FALSE(second.replanned);
 }
 
-TEST(PipelineTest, MessagesFlowOnBus) {
+// Communication is charged in closed form from each stage output's payload:
+// one decide() must bill exactly config.comm.cost(byteSizeOf(...)) for the
+// downsampled cloud, the bridge's planner map and (on a replan) the new
+// trajectory. The expected payloads come from a twin pipeline driven
+// through the stage methods, and from the point-cloud kernels directly.
+TEST(PipelineTest, DecideChargesCommCostOfStageOutputs) {
   Fixture f;
-  std::size_t clouds = 0;
-  std::size_t maps = 0;
-  f.pipeline.bus().subscribe<perception::PointCloud>(
-      "/sensor/points", [&](const perception::PointCloud&) { ++clouds; });
-  f.pipeline.bus().subscribe<perception::PlannerMapMsg>(
-      "/map/planner", [&](const perception::PlannerMapMsg&) { ++maps; });
-  f.decideAt(f.environment.spec.start(), staticPolicy());
-  EXPECT_EQ(clouds, 1u);
-  EXPECT_EQ(maps, 1u);
-  EXPECT_GT(f.pipeline.bus().ledger().totalLatency(), 0.0);
+  Fixture twin;
+  const Vec3 start = f.environment.spec.start();
+  // Coarse enough that downsampling really shrinks the cloud.
+  const PipelinePolicy policy = coarsePolicy();
+  const auto frame = f.sensor.capture(*f.environment.world, start);
+  const auto out = f.pipeline.decide(frame, start, policy, 0.05);
+  ASSERT_TRUE(out.replanned);
+  ASSERT_FALSE(out.plan_failed);
+
+  const sim::CommModel& comm = f.pipeline.config().comm;
+  const auto cloud = perception::downsample(perception::fromSensorFrame(frame),
+                                            policy.stage(Stage::Perception).precision)
+                         .cloud;
+  const auto sweep = twin.pipeline.integrateSweep(frame, start, policy, {}, false);
+  EXPECT_EQ(out.latencies.comm_point_cloud, comm.cost(perception::byteSizeOf(cloud)));
+  EXPECT_EQ(out.latencies.comm_map, comm.cost(perception::byteSizeOf(sweep.map_msg)));
+  EXPECT_EQ(out.latencies.comm_trajectory,
+            comm.cost(planning::byteSizeOf(f.pipeline.trajectory())));
+}
+
+TEST(PipelineTest, CommCostIsBaseLatencyPlusBytesOverBandwidth) {
+  const sim::CommModel comm;
+  EXPECT_EQ(comm.cost(0), comm.base_latency);
+  EXPECT_EQ(comm.cost(8000), comm.base_latency + 8000.0 / comm.bytes_per_second);
+  const sim::CommModel custom{0.001, 1e6};
+  EXPECT_EQ(custom.cost(8000), 0.001 + 8000.0 / 1e6);
+  EXPECT_LT(comm.cost(10), comm.cost(1000));
+  EXPECT_LT(comm.cost(1000), comm.cost(1000000));
+  // The struct defaults are the transport the pipeline actually charges.
+  EXPECT_EQ(PipelineConfig{}.comm.base_latency, 0.003);
+  EXPECT_EQ(PipelineConfig{}.comm.bytes_per_second, 2.0e6);
 }
 
 // The pooled A* planner modes drive the same pipeline end to end: replan,
-// smooth, publish — the deterministic alternative to RRT* wired through the
+// smooth, hand off — the deterministic alternative to RRT* wired through the
 // planning stage by the planner_mode design knob.
 TEST(PipelineTest, AStarModePlansATrajectory) {
   PipelineConfig config;
