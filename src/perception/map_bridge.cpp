@@ -13,11 +13,6 @@ BridgeResult buildPlannerMap(const OccupancyOctree& tree, const geom::Vec3& posi
   const int level = tree.levelForPrecision(precision);
   result.msg.map = PlannerMap(precision, params.inflation);
 
-  // Level-bounded occupied iteration: the pooled tree's has_occupied bit
-  // prunes empty subtrees, so this visits only map structure that can emit
-  // voxels (the seed implementation re-scanned subtrees per coarsened node).
-  auto voxels = tree.collectOccupied(level);
-
   // The volume budget bounds the known region communicated: a sphere around
   // the MAV whose volume equals the budget. Everything beyond its radius is
   // pruned — the "select higher level trees in sorted order" operator.
@@ -31,18 +26,23 @@ BridgeResult buildPlannerMap(const OccupancyOctree& tree, const geom::Vec3& posi
   result.report.region_volume = std::min(mapped, params.volume_budget);
   result.msg.region_volume = result.report.region_volume;
 
+  // Level-bounded occupied walk culled to the sphere: subtrees wholly
+  // outside it are never entered, so the walk costs what the map keeps.
+  // The exact center-distance filter then trims the walk's conservative
+  // (box-distance) cut to the same voxels, in the same order, as filtering
+  // the whole-map collection.
+  const auto voxels = tree.collectOccupied(level, position, radius);
   result.msg.map.reserve(voxels.size());
   for (const auto& v : voxels) {
-    if (v.center.dist(position) > radius) {
-      ++result.report.voxels_dropped;
-      continue;
-    }
+    if (v.center.dist(position) > radius) continue;
     result.msg.map.addVoxel(v);
     ++result.report.voxels_sent;
   }
-  // Work: every coarsened node is visited once during pruning/serialization;
-  // dropped nodes still cost their visit.
-  result.report.nodes = voxels.size();
+  // Work: every coarsened node of the whole map is visited once during
+  // pruning/serialization in the modeled bridge; dropped nodes still cost
+  // their visit. The count comes from the tree's cached reduction.
+  result.report.nodes = tree.occupiedCellCount(level);
+  result.report.voxels_dropped = result.report.nodes - result.report.voxels_sent;
   result.report.cull_radius = radius;
 
   // Dirty region vs the previous epoch's map. The map is a pure function of

@@ -3,11 +3,12 @@
 //
 // Precision: the occupancy tree is pruned/sub-sampled to the bridge
 // precision p1 by collecting occupied subtrees coarsened to that level.
-// Volume: collected voxels are sorted by proximity to the MAV and only the
-// nearest are communicated, limiting the planner's knowledge of the world
-// to the volume budget v1 (modeled as the sensing-sphere radius holding
-// that volume). Node counts drive both bridge compute latency and the comm
-// payload of the serialized map message.
+// Volume: only voxels whose centers lie within a sphere around the MAV are
+// communicated, limiting the planner's knowledge of the world to the volume
+// budget v1 (the sphere's radius is the one holding that volume). Keeping
+// everything inside a radius is the nearest-first prefix without a sort.
+// The whole map's coarsened node count drives the bridge compute latency;
+// the sent voxels drive the comm payload of the serialized map message.
 #pragma once
 
 #include <span>
@@ -39,9 +40,11 @@ struct BridgeDelta {
 };
 
 struct BridgeReport {
-  std::size_t nodes = 0;           ///< map nodes visited/serialized (work units)
+  /// Occupied voxels of the whole map coarsened to the bridge precision
+  /// (OccupancyOctree::occupiedCellCount): the modeled bridge work units.
+  std::size_t nodes = 0;
   std::size_t voxels_sent = 0;     ///< occupied voxels communicated
-  std::size_t voxels_dropped = 0;  ///< beyond the volume budget
+  std::size_t voxels_dropped = 0;  ///< nodes - voxels_sent: beyond the volume budget
   double region_volume = 0.0;      ///< m^3 of known space communicated
   double cull_radius = 0.0;        ///< m; volume-budget sphere radius used
 };

@@ -71,11 +71,14 @@ OctomapInsertReport insertPointCloud(OccupancyOctree& tree, const PointCloud& cl
       static_cast<double>(std::max(cloud.source_rays, total_rays));
   const double omega_share = 4.0 * std::numbers::pi / (3.0 * source_rays);
 
+  // Threat key: distance to the planned trajectory, pruned per trajectory
+  // chunk (bitwise equal to geom::distToPolyline).
+  geom::PolylineDistance threat(trajectory);
   std::vector<RayRef> rays;
   rays.reserve(total_rays);
   for (const auto& p : cloud.points) {
     const double len = p.dist(cloud.origin);
-    const double key = trajectory.empty() ? len : geom::distToPolyline(p, trajectory);
+    const double key = trajectory.empty() ? len : threat(p);
     rays.push_back({p, len, true, key});
   }
   for (const auto& fr : cloud.free_rays) {
@@ -83,7 +86,7 @@ OctomapInsertReport insertPointCloud(OccupancyOctree& tree, const PointCloud& cl
     // A free ray's threat proxy is its closest approach to the trajectory;
     // the midpoint is a cheap stand-in consistent across sweeps.
     const Vec3 mid = cloud.origin + fr.direction * (fr.range * 0.5);
-    const double key = trajectory.empty() ? fr.range : geom::distToPolyline(mid, trajectory);
+    const double key = trajectory.empty() ? fr.range : threat(mid);
     rays.push_back({end, fr.range, false, key});
   }
 

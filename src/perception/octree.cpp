@@ -4,19 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace roborun::perception {
 
 namespace {
-
-double distToBox(const Vec3& p, const Vec3& center, double half) {
-  const double dx = std::max(std::abs(p.x - center.x) - half, 0.0);
-  const double dy = std::max(std::abs(p.y - center.y) - half, 0.0);
-  const double dz = std::max(std::abs(p.z - center.z) - half, 0.0);
-  return std::sqrt(dx * dx + dy * dy + dz * dz);
-}
 
 /// Deepest key level supported by 3-bits-per-level packing in 64 bits.
 constexpr int kMaxKeyDepth = 21;
@@ -38,6 +31,8 @@ OccupancyOctree::OccupancyOctree(const Aabb& extent, double voxel_min) : voxel_m
   const Vec3 c = extent.center();
   const Vec3 h{root_size_ * 0.5, root_size_ * 0.5, root_size_ * 0.5};
   root_box_ = {c - h, c + h};
+  for (int level = 0; level <= max_depth_; ++level)
+    level_size_.push_back(voxel_min_ * std::pow(2.0, level));
   pool_.push_back(Node{});  // the root leaf
   subtree_stats_.push_back(SubtreeStats{});
   subtree_valid_.push_back(0);
@@ -55,7 +50,7 @@ int OccupancyOctree::levelForPrecision(double precision) const {
 }
 
 double OccupancyOctree::cellSizeAtLevel(int level) const {
-  return voxel_min_ * std::pow(2.0, std::clamp(level, 0, max_depth_));
+  return level_size_[static_cast<std::size_t>(std::clamp(level, 0, max_depth_))];
 }
 
 double OccupancyOctree::snapPrecision(double precision) const {
@@ -121,6 +116,7 @@ std::uint32_t OccupancyOctree::allocBlock() {
     pool_.resize(pool_.size() + 8);
     subtree_stats_.resize(pool_.size());
     subtree_valid_.resize(pool_.size());
+    block_cells_.resize((pool_.size() - 1) / 8 * static_cast<std::size_t>(max_depth_));
   }
   // Whether recycled or fresh, the slots carry stale reductions.
   for (int i = 0; i < 8; ++i) subtree_valid_[block + static_cast<std::uint32_t>(i)] = 0;
@@ -357,6 +353,17 @@ const OccupancyOctree::SubtreeStats& OccupancyOctree::reduceStats(std::uint32_t 
       s.occupied_volume += c.occupied_volume;
       s.free_volume += c.free_volume;
     }
+    // Occupied cell counts for the levels whose cells are finer than this
+    // node (coarser levels read has_occupied directly, see occupiedCells).
+    for (int level = 1;
+         level <= max_depth_ && size > level_size_[static_cast<std::size_t>(level)] + 1e-9;
+         ++level) {
+      std::uint32_t cells = 0;
+      for (int ci = 0; ci < 8; ++ci)
+        cells += occupiedCells(pool_[node.first_child + static_cast<std::uint32_t>(ci)], half,
+                               level);
+      block_cells_[blockCellsSlot(node.first_child, level)] = cells;
+    }
   }
   subtree_stats_[index] = s;
   subtree_valid_[index] = 1;
@@ -364,34 +371,40 @@ const OccupancyOctree::SubtreeStats& OccupancyOctree::reduceStats(std::uint32_t 
 }
 
 std::vector<VoxelBox> OccupancyOctree::collectOccupied(int level) const {
-  std::vector<VoxelBox> raw;
-  visitOccupied(level, [&raw](const Vec3& center, double size) { raw.push_back({center, size}); });
-  const double target = cellSizeAtLevel(level);
+  return collectOccupied(level, root_box_.center(), std::numeric_limits<double>::infinity());
+}
 
-  // Deduplicate voxels snapped onto the same target cell.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(raw.size());
-  std::vector<VoxelBox> out;
-  out.reserve(raw.size());
+std::vector<VoxelBox> OccupancyOctree::collectOccupied(int level, const Vec3& position,
+                                                       double radius) const {
+  const double target = cellSizeAtLevel(level);
   const double inv = 1.0 / target;
-  for (const auto& v : raw) {
-    if (v.size > target + 1e-9) {
-      out.push_back(v);  // coarser-than-target leaves pass through as one box
-      continue;
+  const double reach = radius + 1e-6;
+  std::vector<VoxelBox> out;
+  if (reach < 0.0) return out;  // a negative radius keeps nothing
+  auto emit = [&](const Vec3& center, double size) {
+    if (size > target + 1e-9) {
+      out.push_back({center, size});  // coarser-than-target leaves pass through as one box
+      return;
     }
-    const auto kx = static_cast<std::int64_t>(std::floor((v.center.x - root_box_.lo.x) * inv));
-    const auto ky = static_cast<std::int64_t>(std::floor((v.center.y - root_box_.lo.y) * inv));
-    const auto kz = static_cast<std::int64_t>(std::floor((v.center.z - root_box_.lo.z) * inv));
-    const std::uint64_t key = (static_cast<std::uint64_t>(kx & 0xFFFFF) << 40) |
-                              (static_cast<std::uint64_t>(ky & 0xFFFFF) << 20) |
-                              static_cast<std::uint64_t>(kz & 0xFFFFF);
-    if (!seen.insert(key).second) continue;
+    // Snap the target-size cell onto the level grid.
+    const auto kx = static_cast<std::int64_t>(std::floor((center.x - root_box_.lo.x) * inv));
+    const auto ky = static_cast<std::int64_t>(std::floor((center.y - root_box_.lo.y) * inv));
+    const auto kz = static_cast<std::int64_t>(std::floor((center.z - root_box_.lo.z) * inv));
     const Vec3 snapped{root_box_.lo.x + (kx + 0.5) * target,
                        root_box_.lo.y + (ky + 0.5) * target,
                        root_box_.lo.z + (kz + 0.5) * target};
     out.push_back({snapped, target});
-  }
+  };
+  visitOccupiedRec(kRootIndex, root_box_.center(), root_size_, target, position, reach * reach,
+                   emit);
   return out;
+}
+
+std::size_t OccupancyOctree::occupiedCellCount(int level) const {
+  const int l = std::clamp(level, 0, max_depth_);
+  if (l == 0) return stats().occupied_leaves;
+  reduceStats(kRootIndex, root_size_);
+  return occupiedCells(pool_[kRootIndex], root_size_, l);
 }
 
 double OccupancyOctree::nearestOccupiedDistance(const Vec3& p, double fallback) const {
@@ -407,10 +420,10 @@ double OccupancyOctree::nearestOccupiedDistance(const Vec3& p, double fallback) 
   while (!stack.empty()) {
     const Frame f = stack.back();
     stack.pop_back();
-    if (distToBox(p, f.center, f.half) >= best) continue;
+    if (std::sqrt(distToBox2(p, f.center, f.half)) >= best) continue;
     const Node& node = pool_[f.index];
     if (node.isLeaf()) {
-      if (node.state == Occupancy::Occupied) best = distToBox(p, f.center, f.half);
+      if (node.state == Occupancy::Occupied) best = std::sqrt(distToBox2(p, f.center, f.half));
       continue;
     }
     for (int ci = 0; ci < 8; ++ci) {

@@ -24,6 +24,8 @@
 // keys instead of re-descending from the root per cell.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -128,22 +130,25 @@ class OccupancyOctree {
   /// (the deliberate equivalence break tracked in ROADMAP).
   const Stats& stats() const;
 
-  /// Level-bounded iteration over occupied space: invokes
-  /// `visit(center, size)` for every occupied leaf coarser than or at
-  /// `level`, and once per level-cell whose finer subtree contains any
-  /// occupancy (without descending into it). Subtrees with no occupancy are
-  /// pruned via the has_occupied bit; visit order is the deterministic
-  /// child-index DFS the bridge and tests rely on.
-  template <typename Visitor>
-  void visitOccupied(int level, Visitor&& visit) const {
-    visitOccupiedRec(kRootIndex, root_box_.center(), root_size_, cellSizeAtLevel(level), visit);
-  }
-
-  /// All occupied space coarsened to `level`: every emitted voxel has edge
-  /// cellSizeAtLevel(>= level); finer occupied leaves are snapped up to the
-  /// level grid and deduplicated. This is the bridge's "select higher level
-  /// trees" pruning primitive (visitOccupied + grid snapping).
+  /// All occupied space coarsened to `level`, in the deterministic
+  /// child-index DFS order the bridge and tests rely on: every occupied
+  /// leaf coarser than or at the level cell size passes through as itself,
+  /// and every level cell whose finer subtree holds any occupancy is
+  /// emitted once, snapped onto the level grid (edge cellSizeAtLevel(level)).
+  /// Emitted cells are distinct tree cells, so the output has no duplicates.
+  /// Subtrees with no occupancy are pruned via the has_occupied bit.
   std::vector<VoxelBox> collectOccupied(int level) const;
+  /// The same walk culled to a sphere: subtrees whose box lies farther than
+  /// `radius` (+1e-6 m) from `position` are skipped. The result is a
+  /// subsequence of collectOccupied(level), in the same order and bit for
+  /// bit, containing every voxel whose center is within `radius` (the
+  /// bridge applies its exact center-distance filter on top).
+  std::vector<VoxelBox> collectOccupied(int level, const Vec3& position, double radius) const;
+
+  /// Number of voxels collectOccupied(level) returns, read from the lazily
+  /// reduced per-subtree cache (no walk when nothing changed since the
+  /// last reduction; otherwise only the touched paths are re-reduced).
+  std::size_t occupiedCellCount(int level) const;
 
   /// Nearest occupied voxel center to `p`, found by a best-first descent
   /// pruned by the has_occupied bit (empty subtrees are never entered).
@@ -177,6 +182,14 @@ class OccupancyOctree {
             center.z + ((ci & 4) ? q : -q)};
   }
 
+  /// Squared distance from p to the cube at `center` with half-edge `half`.
+  static double distToBox2(const Vec3& p, const Vec3& center, double half) {
+    const double dx = std::max(std::abs(p.x - center.x) - half, 0.0);
+    const double dy = std::max(std::abs(p.y - center.y) - half, 0.0);
+    const double dz = std::max(std::abs(p.z - center.z) - half, 0.0);
+    return dx * dx + dy * dy + dz * dz;
+  }
+
   /// Allocate/recycle a block of 8 children (indices are stable; the pool
   /// vector may reallocate, so re-resolve Node references after calling).
   std::uint32_t allocBlock();
@@ -196,7 +209,9 @@ class OccupancyOctree {
   void applyKeys(std::span<const std::uint64_t> keys, int depth, Occupancy state);
 
   /// Per-node cached subtree reduction (compact mirror of Stats: counts fit
-  /// u32 because they are bounded by pool indices). One entry per pool slot.
+  /// u32 because they are bounded by pool indices). One entry per pool slot;
+  /// the per-level occupied cell counts of the same reduction live in
+  /// block_cells_.
   struct SubtreeStats {
     std::uint32_t occupied_leaves = 0;
     std::uint32_t free_leaves = 0;
@@ -204,28 +219,48 @@ class OccupancyOctree {
     double occupied_volume = 0.0;
     double free_volume = 0.0;
   };
-  /// Return the (recomputing if stale) cached reduction for `index`.
+  /// Return the (recomputing if stale) cached reduction for `index`. The
+  /// same reduction refreshes the node's per-level occupied cell counts.
   const SubtreeStats& reduceStats(std::uint32_t index, double size) const;
+  /// collectOccupied(level).size() restricted to the subtree of `node`
+  /// (edge `size`), for level >= 1, given a valid reduction of `node`: an
+  /// occupied leaf counts 1, an inner node at or below the level cell size
+  /// counts its has_occupied bit, a larger inner node the cached sum over
+  /// its children.
+  std::uint32_t occupiedCells(const Node& node, double size, int level) const {
+    if (node.isLeaf()) return node.state == Occupancy::Occupied ? 1u : 0u;
+    if (size <= level_size_[static_cast<std::size_t>(level)] + 1e-9) return node.has_occupied;
+    return block_cells_[blockCellsSlot(node.first_child, level)];
+  }
+  /// block_cells_ index of level `level` (>= 1) for the inner node whose
+  /// children are the block at `first_child`.
+  std::size_t blockCellsSlot(std::uint32_t first_child, int level) const {
+    return (first_child - 1) / 8 * static_cast<std::size_t>(max_depth_) +
+           static_cast<std::size_t>(level - 1);
+  }
 
+  /// The one occupied walk behind collectOccupied: child-index DFS that
+  /// emits `visit(center, size)` per occupied leaf and per occupied cell at
+  /// `target_size`, skipping empty subtrees and any subtree whose box is
+  /// farther than sqrt(reach2) from `position`.
   template <typename Visitor>
   void visitOccupiedRec(std::uint32_t index, const Vec3& center, double size, double target_size,
-                        Visitor& visit) const {
+                        const Vec3& position, double reach2, Visitor& visit) const {
     const Node& node = pool_[index];
-    if (node.isLeaf()) {
-      if (node.state == Occupancy::Occupied) visit(center, size);
-      return;
-    }
-    if (!node.has_occupied) return;  // nothing to emit anywhere beneath
-    if (size <= target_size + 1e-9) {
-      // At the target cell size with finer structure beneath: the pruned
-      // view marks the whole cell occupied if anything in the subtree is.
+    if (node.isLeaf() ? node.state != Occupancy::Occupied : !node.has_occupied) return;
+    const double half = size * 0.5;
+    if (distToBox2(position, center, half) > reach2) return;
+    // Occupied leaves emit as they are. An inner node at the target cell
+    // size emits whole: the pruned view marks the cell occupied if anything
+    // in its subtree is.
+    if (node.isLeaf() || size <= target_size + 1e-9) {
       visit(center, size);
       return;
     }
-    const double half = size * 0.5;
     for (int ci = 0; ci < 8; ++ci)
       visitOccupiedRec(node.first_child + static_cast<std::uint32_t>(ci),
-                       childCenterFor(center, half, ci), half, target_size, visit);
+                       childCenterFor(center, half, ci), half, target_size, position, reach2,
+                       visit);
   }
 
   Aabb root_box_;
@@ -240,6 +275,14 @@ class OccupancyOctree {
   /// re-invalidated by allocBlock.
   mutable std::vector<SubtreeStats> subtree_stats_;
   mutable std::vector<std::uint8_t> subtree_valid_;
+  /// Per-level occupied cell counts of inner nodes, maxDepth() u32 per child
+  /// block (levels 1..maxDepth(); level 0 is SubtreeStats::occupied_leaves),
+  /// refreshed by reduceStats under the node's subtree_valid_ bit. Keyed by
+  /// block rather than by pool slot because leaves, 7/8 of the pool, need
+  /// none. Entries for levels at or above a node's own size are unused.
+  mutable std::vector<std::uint32_t> block_cells_;
+  /// cellSizeAtLevel table, levels 0..maxDepth().
+  std::vector<double> level_size_;
   mutable Stats stats_cache_;
   mutable bool stats_dirty_ = true;
 };

@@ -1,7 +1,10 @@
 // Unit tests for the geometry/math foundation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "geom/aabb.h"
 #include "geom/polyfit.h"
@@ -277,6 +280,62 @@ TEST(PolylineTest, PolylineDistance) {
   EXPECT_NEAR(distToPolyline({5, 2, 0}, line), 2.0, 1e-12);
   EXPECT_NEAR(distToPolyline({12, 5, 0}, line), 2.0, 1e-12);
   EXPECT_TRUE(std::isinf(distToPolyline({0, 0, 0}, {})));
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// Every query point against both distance functions, bit for bit, through
+/// one PolylineDistance so its warm start carries from query to query.
+void expectPrunedMatches(const std::vector<Vec3>& line, const std::vector<Vec3>& queries) {
+  PolylineDistance pruned(line);
+  for (const Vec3& q : queries)
+    EXPECT_EQ(bits(pruned(q)), bits(distToPolyline(q, line)))
+        << line.size() << " points, query (" << q.x << ", " << q.y << ", " << q.z << ")";
+}
+
+// PolylineDistance prunes whole chunks of segments, so it must return the
+// identical double distToPolyline does: random-walk polylines of every
+// chunking shape (empty, a point, one segment, partial and exact chunks,
+// many chunks) with repeated waypoints, queried at random points, at every
+// vertex (chunk boundaries included) and at every segment midpoint.
+TEST(PolylineTest, PrunedDistanceIsBitwiseDistToPolyline) {
+  Rng rng(11);
+  for (const std::size_t n : {0u, 1u, 2u, 9u, 17u, 200u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<Vec3> line;
+      Vec3 at = rng.uniformInBox({-50, -50, 0}, {50, 50, 10});
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i == 0 || !rng.chance(0.15)) at = at + rng.uniformInBox({-6, -6, -1}, {6, 6, 1});
+        line.push_back(at);  // a skipped step repeats the previous waypoint
+      }
+      std::vector<Vec3> queries;
+      for (int i = 0; i < 300; ++i) queries.push_back(rng.uniformInBox({-80, -80, -5}, {80, 80, 15}));
+      for (std::size_t i = 0; i < line.size(); ++i) {
+        queries.push_back(line[i]);
+        if (i + 1 < line.size()) queries.push_back((line[i] + line[i + 1]) * 0.5);
+      }
+      expectPrunedMatches(line, queries);
+    }
+  }
+}
+
+// Ties across chunks: a hairpin whose outbound leg (y = +1, chunk 0) and
+// return leg (y = -1, chunks 1-2) are equidistant from every point on
+// y = 0, queried in both directions so the warm start begins in each chunk.
+TEST(PolylineTest, PrunedDistanceTiesAcrossChunks) {
+  std::vector<Vec3> line;
+  for (int x = 0; x <= 8; ++x) line.push_back({static_cast<double>(x), 1.0, 0.0});
+  for (int x = 8; x >= 0; --x) line.push_back({static_cast<double>(x), -1.0, 0.0});
+  ASSERT_GT(line.size(), 2 * PolylineDistance::kChunkSegments);
+  std::vector<Vec3> queries;
+  for (int i = 0; i <= 32; ++i) queries.push_back({0.25 * i, 0.0, 0.0});
+  for (int i = 32; i >= 0; --i) queries.push_back({0.25 * i, 0.0, 0.5});
+  queries.push_back(line[PolylineDistance::kChunkSegments]);
+  queries.push_back(line[2 * PolylineDistance::kChunkSegments]);
+  expectPrunedMatches(line, queries);
+  PolylineDistance pruned(line);
+  EXPECT_EQ(pruned({4.0, 0.0, 0.0}), 1.0);
+  EXPECT_EQ(pruned({8.5, 0.0, 0.0}), 0.5);  // the connector segment at x = 8
 }
 
 // Property sweep: percentile is monotone in p.

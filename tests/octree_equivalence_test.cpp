@@ -2,7 +2,8 @@
 // against the frozen seed implementation (tests/reference_octree.h) and the
 // pooled Morton-keyed tree, and demand identical observable behavior —
 // occupancy answers, stats, coarsening/collection output (including order),
-// and nearest-occupied distances. This is the contract that let the pool
+// cached per-level occupied counts, the sphere-culled collection, and
+// nearest-occupied distances. This is the contract that let the pool
 // refactor land without perturbing a single MissionResult bit.
 //
 // Registered under tier2; run it with -DROBORUN_SANITIZE=address;undefined
@@ -37,6 +38,74 @@ Vec3 randomDirection(Rng& rng) {
     const Vec3 v = rng.uniformInBox({-1.0, -1.0, -1.0}, {1.0, 1.0, 1.0});
     const double n = v.norm();
     if (n > 0.1) return v / n;
+  }
+}
+
+void expectSameVoxel(const VoxelBox& a, const VoxelBox& b) {
+  EXPECT_EQ(a.center.x, b.center.x);
+  EXPECT_EQ(a.center.y, b.center.y);
+  EXPECT_EQ(a.center.z, b.center.z);
+  EXPECT_EQ(a.size, b.size);
+}
+
+bool sameVoxel(const VoxelBox& a, const VoxelBox& b) {
+  return a.center.x == b.center.x && a.center.y == b.center.y && a.center.z == b.center.z &&
+         a.size == b.size;
+}
+
+/// The voxels of `walk` whose centers lie within `radius` of `position`
+/// (the bridge's exact filter), in walk order.
+std::vector<VoxelBox> inRadius(const std::vector<VoxelBox>& walk, const Vec3& position,
+                               double radius) {
+  std::vector<VoxelBox> out;
+  for (const auto& v : walk)
+    if (!(v.center.dist(position) > radius)) out.push_back(v);
+  return out;
+}
+
+/// The sphere-culled walk against the full walk at every level: it must be
+/// a subsequence of the full walk and keep exactly the full walk's in-radius
+/// voxels, element for element and bit for bit. Positions cover the root's
+/// inside and outside; radii cover 0, random, and one that covers the root.
+void expectCulledWalkExact(const OccupancyOctree& tree, Rng& rng, int max_level) {
+  const Aabb root = tree.rootBox();
+  const double covering = root.size().norm() * 2.0;
+  for (int level = 0; level <= max_level; ++level) {
+    const auto full = tree.collectOccupied(level);
+    for (int trial = 0; trial < 12; ++trial) {
+      const bool outside = trial % 3 == 2;
+      const Vec3 position = outside ? root.hi + rng.uniformInBox({0.1, 0.1, 0.1}, {3.0, 3.0, 3.0})
+                                    : rng.uniformInBox(root.lo, root.hi);
+      const double radius = trial % 4 == 0 ? 0.0 : rng.uniform(0.0, kHalf * 1.5);
+      for (const double r : {radius, covering}) {
+        const auto culled = tree.collectOccupied(level, position, r);
+        std::size_t next = 0;  // culled must be a subsequence of full
+        for (const auto& v : culled) {
+          while (next < full.size() && !sameVoxel(full[next], v)) ++next;
+          ASSERT_LT(next, full.size()) << "culled voxel not in walk order at level " << level;
+          ++next;
+        }
+        const auto want = inRadius(full, position, r);
+        const auto got = inRadius(culled, position, r);
+        ASSERT_EQ(got.size(), want.size()) << "level " << level << " radius " << r;
+        for (std::size_t i = 0; i < got.size(); ++i) expectSameVoxel(got[i], want[i]);
+        if (r == covering && !outside) {
+          EXPECT_EQ(culled.size(), full.size());
+        }
+      }
+      if (outside) {
+        EXPECT_TRUE(tree.collectOccupied(level, position, 0.0).empty());
+      }
+    }
+  }
+}
+
+/// Cached per-level counts against both walks' sizes.
+void expectCellCounts(const OccupancyOctree& pooled, const reference::ReferenceOctree& ref) {
+  for (int level = 0; level <= pooled.maxDepth(); ++level) {
+    const std::size_t count = pooled.occupiedCellCount(level);
+    EXPECT_EQ(count, pooled.collectOccupied(level).size()) << "level " << level;
+    EXPECT_EQ(count, ref.collectOccupied(level).size()) << "level " << level;
   }
 }
 
@@ -87,13 +156,10 @@ void expectEquivalent(const OccupancyOctree& pooled, const reference::ReferenceO
     const auto pv = pooled.collectOccupied(level);
     const auto rv = ref.collectOccupied(level);
     ASSERT_EQ(pv.size(), rv.size()) << "collectOccupied size at level " << level;
-    for (std::size_t i = 0; i < pv.size(); ++i) {
-      EXPECT_EQ(pv[i].center.x, rv[i].center.x);
-      EXPECT_EQ(pv[i].center.y, rv[i].center.y);
-      EXPECT_EQ(pv[i].center.z, rv[i].center.z);
-      EXPECT_EQ(pv[i].size, rv[i].size);
-    }
+    for (std::size_t i = 0; i < pv.size(); ++i) expectSameVoxel(pv[i], rv[i]);
   }
+  expectCellCounts(pooled, ref);
+  expectCulledWalkExact(pooled, rng, max_level);
 }
 
 class OctreeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -112,6 +178,9 @@ TEST_P(OctreeEquivalence, RandomPointUpdateReplay) {
     const Occupancy state = rng.chance(0.3) ? Occupancy::Occupied : Occupancy::Free;
     pooled.updateCell(p, level, state);
     ref.updateCell(p, level, state);
+    // Read the cached counts between updates: the lazy reduction must be
+    // invalidated along exactly the paths each update touched.
+    if (step % 150 == 149) expectCellCounts(pooled, ref);
   }
   Rng probe(GetParam() ^ 0x9E3779B97F4A7C15ULL);
   expectEquivalent(pooled, ref, probe, pooled.maxDepth());
@@ -152,6 +221,7 @@ TEST_P(OctreeEquivalence, BatchedRayInsertionMatchesSeedPerCell) {
       pooled.updateCells(keys, free_level, Occupancy::Free);
       if (hit) pooled.updateCell(end, occ_level, Occupancy::Occupied);
     }
+    expectCellCounts(pooled, ref);
   }
   Rng probe(GetParam() + 3);
   expectEquivalent(pooled, ref, probe, pooled.maxDepth());

@@ -2,10 +2,13 @@
 // OctoMap insertion (precision/volume operators), planner map, map bridge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "env/world.h"
+#include "geom/rng.h"
 #include "perception/map_bridge.h"
 #include "perception/octomap_kernel.h"
 #include "perception/planner_map.h"
@@ -269,7 +272,131 @@ TEST(MapBridgeTest, NodesCountIncludesDropped) {
   params.precision = 0.3;
   params.volume_budget = 4.0 / 3.0 * std::numbers::pi * 125.0;
   const auto result = buildPlannerMap(tree, {0, 0, 0}, params);
-  EXPECT_EQ(result.report.nodes, 2u);  // pruning visits all nodes
+  EXPECT_EQ(result.report.nodes, 2u);  // the whole map, not just the sphere
+}
+
+/// Grow `tree` by one random sweep from `origin` through the OctoMap kernel
+/// (hits at the fine level, free rays at the kernel's coarser free level);
+/// returns the kernel's touched cover.
+Aabb growBySweep(OccupancyOctree& tree, geom::Rng& rng, const Vec3& origin) {
+  PointCloud cloud;
+  cloud.origin = origin;
+  cloud.max_range = 25.0;
+  for (int i = 0; i < 400; ++i) {
+    const Vec3 dir = (rng.uniformInBox({-1, -1, -0.3}, {1, 1, 0.3}) + Vec3{1e-3, 0, 0}).normalized();
+    if (rng.chance(0.7)) {
+      cloud.points.push_back(origin + dir * rng.uniform(2.0, 25.0));
+    } else {
+      cloud.free_rays.push_back({dir, rng.uniform(5.0, 25.0)});
+    }
+  }
+  cloud.source_rays = 400;
+  OctomapInsertParams params;
+  params.volume_budget = 1e9;
+  return insertPointCloud(tree, cloud, params, {}).touched;
+}
+
+/// The bridge's contract, brute force: collect the whole map at the bridge
+/// level, keep the voxels whose centers are within the cull radius, and
+/// build the planner map from exactly those.
+struct BruteBridge {
+  std::vector<VoxelBox> all;
+  std::vector<VoxelBox> sent;
+  PlannerMap map;
+};
+BruteBridge bruteForceBridge(const OccupancyOctree& tree, const Vec3& position,
+                             const BridgeParams& params) {
+  const double precision = tree.snapPrecision(params.precision);
+  const double radius = std::cbrt(3.0 * params.volume_budget / (4.0 * std::numbers::pi));
+  BruteBridge b{tree.collectOccupied(tree.levelForPrecision(precision)), {},
+                PlannerMap(precision, params.inflation)};
+  for (const auto& v : b.all) {
+    if (v.center.dist(position) > radius) continue;
+    b.sent.push_back(v);
+    b.map.addVoxel(v);
+  }
+  return b;
+}
+
+bool sameBox(const Aabb& a, const Aabb& b) {
+  return a.lo.x == b.lo.x && a.lo.y == b.lo.y && a.lo.z == b.lo.z && a.hi.x == b.hi.x &&
+         a.hi.y == b.hi.y && a.hi.z == b.hi.z;
+}
+
+bool sameVoxel(const VoxelBox& a, const VoxelBox& b) {
+  return a.center.x == b.center.x && a.center.y == b.center.y && a.center.z == b.center.z &&
+         a.size == b.size;
+}
+
+void expectMatchesBruteForce(const BridgeResult& result, const BruteBridge& b) {
+  ASSERT_GT(b.sent.size(), 0u);
+  ASSERT_LT(b.sent.size(), b.all.size());  // the sphere really culls
+  EXPECT_EQ(result.report.nodes, b.all.size());
+  EXPECT_EQ(result.report.voxels_sent, b.sent.size());
+  EXPECT_EQ(result.report.voxels_dropped, b.all.size() - b.sent.size());
+  const PlannerMap& map = result.msg.map;
+  EXPECT_EQ(map.voxelCount(), b.map.voxelCount());
+  EXPECT_EQ(map.coarseBoxCount(), b.map.coarseBoxCount());
+  EXPECT_TRUE(sameBox(map.occupiedBounds(), b.map.occupiedBounds()));
+  for (const auto& v : b.all) {
+    EXPECT_EQ(map.occupiedRaw(v.center), b.map.occupiedRaw(v.center));
+    EXPECT_EQ(map.occupiedPoint(v.center), b.map.occupiedPoint(v.center));
+  }
+}
+
+/// Every voxel sent in exactly one of the two epochs must lie inside `dirty`.
+void expectDirtyCoversChange(const Aabb& dirty, const std::vector<VoxelBox>& before,
+                             const std::vector<VoxelBox>& after) {
+  std::size_t changed = 0;
+  auto onlyIn = [&](const std::vector<VoxelBox>& from, const std::vector<VoxelBox>& other) {
+    for (const auto& v : from) {
+      if (std::any_of(other.begin(), other.end(),
+                      [&v](const VoxelBox& w) { return sameVoxel(v, w); }))
+        continue;
+      ++changed;
+      EXPECT_TRUE(dirty.contains(v.box().lo) && dirty.contains(v.box().hi));
+    }
+  };
+  onlyIn(before, after);
+  onlyIn(after, before);
+  EXPECT_GT(changed, 0u);
+}
+
+// The sphere-culled bridge against the brute-force collect-and-filter on a
+// grown tree, across precisions and two epochs: same voxels (same map
+// answers at every occupied cell), same counts, the default "everything"
+// dirty region without a delta, and with one a dirty region covering every
+// voxel whose membership changed between the epochs.
+TEST(MapBridgeTest, CulledBridgeMatchesBruteForceCollectAndFilter) {
+  for (const double precision : {0.3, 0.6, 1.2, 2.4}) {
+    SCOPED_TRACE(precision);
+    auto tree = makeTree();
+    geom::Rng rng(static_cast<std::uint64_t>(precision * 10.0) + 3);
+    growBySweep(tree, rng, {-10, 0, 0});
+    growBySweep(tree, rng, {10, 5, 0});
+    tree.updateCell({20, -20, 5}, 4, Occupancy::Occupied);  // a leaf coarser than every level
+
+    BridgeParams params;
+    params.precision = precision;
+    params.volume_budget = 4.0 / 3.0 * std::numbers::pi * 18.0 * 18.0 * 18.0;  // 18 m radius
+    const Vec3 p1{-5, 2, 0};
+    const auto first = buildPlannerMap(tree, p1, params);
+    const auto brute_first = bruteForceBridge(tree, p1, params);
+    expectMatchesBruteForce(first, brute_first);
+    EXPECT_TRUE(std::isinf(first.msg.map.dirtyBounds().volume()));
+
+    BridgeDelta delta;
+    delta.octree_touched = growBySweep(tree, rng, {0, -8, 1});
+    delta.prev_position = p1;
+    delta.prev_radius = first.report.cull_radius;
+    delta.prev_precision = tree.snapPrecision(precision);
+    delta.prev_inflation = params.inflation;
+    const Vec3 p2{4, -3, 1};
+    const auto second = buildPlannerMap(tree, p2, params, &delta);
+    const auto brute_second = bruteForceBridge(tree, p2, params);
+    expectMatchesBruteForce(second, brute_second);
+    expectDirtyCoversChange(second.msg.map.dirtyBounds(), brute_first.sent, brute_second.sent);
+  }
 }
 
 }  // namespace
