@@ -3,18 +3,21 @@
 //
 // Replays one identical synthetic sensor workload (frames of hit/free rays
 // marched into an occupancy map at mission-realistic precision levels)
-// through three insertion paths:
+// through four insertion paths:
 //
 //   reference_per_cell  the frozen seed implementation (pointer octree,
 //                       per-cell root descents; tests/reference_octree.h)
 //   pooled_per_cell     the pooled tree, still one updateCell per cell
 //                       (isolates the storage-layout win)
-//   pooled_batched      the shipped kernel path: per-ray Morton-keyed
-//                       batches via updateCells (adds the shared-prefix win)
+//   pooled_batched      per-ray Morton-keyed batches: cellKey per sample,
+//                       then updateCells (adds the shared-prefix win)
+//   pooled_ray_walk     the shipped kernel path: one fused updateRay walk
+//                       per ray (no staged keys; same-cell and same-state
+//                       samples cost a box test)
 //
 // plus a coarsened-collection pass (the bridge's collectOccupied) over the
-// resulting maps. All three trees must answer identically — the bench
-// aborts if they diverge, so a perf number can never come from a wrong map.
+// resulting maps. All four trees must answer identically — the bench exits
+// nonzero if they diverge, so a perf number can never come from a wrong map.
 //
 // Usage:
 //   bench_perception_throughput [--smoke] [--json <path>]
@@ -103,6 +106,18 @@ void marchRay(const Ray& ray, double cell, FreeCell&& freeCell, OccCell&& occCel
   if (ray.hit) occCell(ray.end);
 }
 
+/// March one ray the way the kernel does (octomap_kernel.cpp's traceRay):
+/// one fused updateRay walk for the free cells, then the hit endpoint.
+void walkRay(OccupancyOctree& tree, const Ray& ray, double cell, int free_level, int occ_level) {
+  const Vec3 d = ray.end - ray.origin;
+  const double len = d.norm();
+  if (len > 1e-9) {
+    const double free_len = ray.hit ? std::max(0.0, len - cell) : len;
+    tree.updateRay(ray.origin, d / len, cell, free_len, free_level, Occupancy::Free);
+  }
+  if (ray.hit) tree.updateCell(ray.end, occ_level, Occupancy::Occupied);
+}
+
 struct VariantResult {
   double seconds = 0.0;
   std::size_t cell_updates = 0;
@@ -156,10 +171,11 @@ int main(int argc, char** argv) {
   ReferenceOctree ref_tree(extent, w.voxel_min);
   OccupancyOctree pooled_cell_tree(extent, w.voxel_min);
   OccupancyOctree batched_tree(extent, w.voxel_min);
+  OccupancyOctree ray_walk_tree(extent, w.voxel_min);
   const double cell = batched_tree.cellSizeAtLevel(w.free_level);
 
-  VariantResult reference, pooled_cell, batched;
-  reference.seconds = pooled_cell.seconds = batched.seconds = 1e100;
+  VariantResult reference, pooled_cell, batched, ray_walk;
+  reference.seconds = pooled_cell.seconds = batched.seconds = ray_walk.seconds = 1e100;
 
   for (int rep = 0; rep < reps; ++rep) {
     ref_tree = ReferenceOctree(extent, w.voxel_min);
@@ -218,37 +234,49 @@ int main(int argc, char** argv) {
         keys.clear();
       }
     }));
-  }
 
-  for (VariantResult* v : {&reference, &pooled_cell, &batched})
+    ray_walk_tree = OccupancyOctree(extent, w.voxel_min);
+    ray_walk.seconds = std::min(ray_walk.seconds, timeIt([&] {
+      for (const Ray& ray : w.rays) walkRay(ray_walk_tree, ray, cell, w.free_level, w.occ_level);
+    }));
+  }
+  // Same workload, same sampled cells: the walk just never counts them.
+  ray_walk.cell_updates = reference.cell_updates;
+
+  for (VariantResult* v : {&reference, &pooled_cell, &batched, &ray_walk})
     v->updates_per_sec = v->seconds > 0.0 ? static_cast<double>(v->cell_updates) / v->seconds : 0.0;
 
   // The bridge-side coarsening pass (collectOccupied at the bridge's usual
   // 0.3 m level) on the maps the insertion built.
   const int bridge_level = 0;
-  std::vector<perception::VoxelBox> ref_voxels, pooled_voxels, pooled_cell_voxels;
+  std::vector<perception::VoxelBox> ref_voxels, pooled_voxels, pooled_cell_voxels, ray_walk_voxels;
   reference.collect_seconds = timeIt([&] { ref_voxels = ref_tree.collectOccupied(bridge_level); });
   batched.collect_seconds =
       timeIt([&] { pooled_voxels = batched_tree.collectOccupied(bridge_level); });
   pooled_cell.collect_seconds =
       timeIt([&] { pooled_cell_voxels = pooled_cell_tree.collectOccupied(bridge_level); });
+  ray_walk.collect_seconds =
+      timeIt([&] { ray_walk_voxels = ray_walk_tree.collectOccupied(bridge_level); });
   reference.collected_voxels = ref_voxels.size();
   batched.collected_voxels = pooled_voxels.size();
   pooled_cell.collected_voxels = pooled_cell_voxels.size();
+  ray_walk.collected_voxels = ray_walk_voxels.size();
 
-  // Safety: a speedup over a wrong map is no speedup. All three trees must
+  // Safety: a speedup over a wrong map is no speedup. All four trees must
   // agree with the reference everywhere we look.
   std::size_t mismatches = 0;
-  if (ref_voxels.size() != pooled_voxels.size()) ++mismatches;
-  if (ref_voxels.size() != pooled_cell_voxels.size()) ++mismatches;
+  for (const auto* voxels : {&pooled_voxels, &pooled_cell_voxels, &ray_walk_voxels})
+    if (ref_voxels.size() != voxels->size()) ++mismatches;
   geom::Rng probe(424242);
   for (int i = 0; i < 20000; ++i) {
     const Vec3 p = probe.uniformInBox(extent.lo, extent.hi);
     const auto want = ref_tree.query(p);
-    if (batched_tree.query(p) != want || pooled_cell_tree.query(p) != want) ++mismatches;
+    if (batched_tree.query(p) != want || pooled_cell_tree.query(p) != want ||
+        ray_walk_tree.query(p) != want)
+      ++mismatches;
   }
   const auto& rs = ref_tree.stats();
-  for (const auto* s : {&batched_tree.stats(), &pooled_cell_tree.stats()}) {
+  for (const auto* s : {&batched_tree.stats(), &pooled_cell_tree.stats(), &ray_walk_tree.stats()}) {
     if (rs.occupied_leaves != s->occupied_leaves || rs.free_leaves != s->free_leaves ||
         rs.inner_nodes != s->inner_nodes)
       ++mismatches;
@@ -262,6 +290,8 @@ int main(int argc, char** argv) {
       batched.seconds > 0.0 ? reference.seconds / batched.seconds : 0.0;
   const double speedup_pooled =
       pooled_cell.seconds > 0.0 ? reference.seconds / pooled_cell.seconds : 0.0;
+  const double speedup_ray_walk =
+      ray_walk.seconds > 0.0 ? reference.seconds / ray_walk.seconds : 0.0;
   const double speedup_collect =
       batched.collect_seconds > 0.0 ? reference.collect_seconds / batched.collect_seconds : 0.0;
 
@@ -273,6 +303,8 @@ int main(int argc, char** argv) {
             << " M upd/s  (" << jsonNumber(speedup_pooled, 2) << "x)\n"
             << "  pooled_batched:     " << jsonNumber(batched.updates_per_sec / 1e6, 2)
             << " M upd/s  (" << jsonNumber(speedup_batched, 2) << "x)\n"
+            << "  pooled_ray_walk:    " << jsonNumber(ray_walk.updates_per_sec / 1e6, 2)
+            << " M upd/s  (" << jsonNumber(speedup_ray_walk, 2) << "x)\n"
             << "  collectOccupied:    " << jsonNumber(speedup_collect, 2) << "x\n";
 
   std::ostringstream json;
@@ -287,10 +319,12 @@ int main(int argc, char** argv) {
   json << "  \"variants\": {\n";
   writeVariant(json, "reference_per_cell", reference, false);
   writeVariant(json, "pooled_per_cell", pooled_cell, false);
-  writeVariant(json, "pooled_batched", batched, true);
+  writeVariant(json, "pooled_batched", batched, false);
+  writeVariant(json, "pooled_ray_walk", ray_walk, true);
   json << "  },\n";
   json << "  \"speedup\": {\"pooled_per_cell\": " << jsonNumber(speedup_pooled, 3)
        << ", \"pooled_batched\": " << jsonNumber(speedup_batched, 3)
+       << ", \"pooled_ray_walk\": " << jsonNumber(speedup_ray_walk, 3)
        << ", \"collect_occupied\": " << jsonNumber(speedup_collect, 3) << "},\n";
   json << "  \"trees_agree\": " << (mismatches == 0 ? "true" : "false") << "\n";
   json << "}\n";

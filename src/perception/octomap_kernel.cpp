@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -22,30 +21,23 @@ struct RayRef {
 /// Mark cells along [origin, end) free at `free_level`, stepping one cell
 /// size at a time; mark the endpoint occupied at `occ_level` if `hit`.
 ///
-/// The ray's free cells are collected as Morton path keys into `key_scratch`
-/// (reused across rays to stay allocation-free) and applied as one sorted
-/// batch: a ray's free updates all share one level and state, so the batch
-/// is order-independent and the tree ends bit-identical to the seed's
-/// per-cell root descents — at a fraction of the walk cost, because
-/// consecutive cells along a ray share most of their tree prefix. The
-/// occupied endpoint is applied after the frees, as before, keeping the
+/// The free cells go through OccupancyOctree::updateRay, one fused walk per
+/// ray: the march's cellKey() keys are never staged, and the walk restarts
+/// each sample at the deepest tree ancestor whose cell still holds it. The
+/// result is the Morton batch updateCells would apply, so the tree ends
+/// bit-identical to the seed's per-cell root descents. The occupied
+/// endpoint is applied after the frees, as before, keeping the
 /// sticky-occupancy interleaving across rays untouched.
 void traceRay(OccupancyOctree& tree, const Vec3& origin, const Vec3& end, bool hit,
-              int occ_level, int free_level, std::vector<std::uint64_t>& key_scratch) {
+              int occ_level, int free_level) {
   const double cell = tree.cellSizeAtLevel(free_level);
   const Vec3 d = end - origin;
   const double len = d.norm();
   if (len > 1e-9) {
-    const Vec3 dir = d / len;
     // Stop one cell short of a hit endpoint so the obstacle cell stays
     // occupied (free marking is sticky-checked anyway; this saves work).
     const double free_len = hit ? std::max(0.0, len - cell) : len;
-    key_scratch.clear();
-    for (double t = cell * 0.5; t < free_len; t += cell) {
-      const Vec3 p = origin + dir * t;
-      if (tree.rootBox().contains(p)) key_scratch.push_back(tree.cellKey(p, free_level));
-    }
-    tree.updateCells(key_scratch, free_level, Occupancy::Free);
+    tree.updateRay(origin, d / len, cell, free_len, free_level, Occupancy::Free);
   }
   if (hit) tree.updateCell(end, occ_level, Occupancy::Occupied);
 }
@@ -94,7 +86,6 @@ OctomapInsertReport insertPointCloud(OccupancyOctree& tree, const PointCloud& cl
   std::sort(rays.begin(), rays.end(),
             [](const RayRef& a, const RayRef& b) { return a.sort_key < b.sort_key; });
 
-  std::vector<std::uint64_t> key_scratch;  // per-ray cell batch, reused
   for (const auto& r : rays) {
     const double ray_volume = omega_share * r.length * r.length * r.length;
     if (report.volume_ingested + ray_volume > params.volume_budget &&
@@ -107,7 +98,7 @@ OctomapInsertReport insertPointCloud(OccupancyOctree& tree, const PointCloud& cl
     if (r.hit) ++report.points_inserted;
     report.touched.merge(cloud.origin);
     report.touched.merge(r.end);
-    traceRay(tree, cloud.origin, r.end, r.hit, level, free_level, key_scratch);
+    traceRay(tree, cloud.origin, r.end, r.hit, level, free_level);
     report.ray_steps += static_cast<std::size_t>(std::ceil(r.length / precision));
   }
   if (report.rays_integrated > 0) {

@@ -33,6 +33,8 @@ OccupancyOctree::OccupancyOctree(const Aabb& extent, double voxel_min) : voxel_m
   root_box_ = {c - h, c + h};
   for (int level = 0; level <= max_depth_; ++level)
     level_size_.push_back(voxel_min_ * std::pow(2.0, level));
+  for (double q = root_size_ * 0.25; static_cast<int>(ladder_q_.size()) < max_depth_; q *= 0.5)
+    ladder_q_.push_back(q);
   pool_.push_back(Node{});  // the root leaf
   subtree_stats_.push_back(SubtreeStats{});
   subtree_valid_.push_back(0);
@@ -178,8 +180,100 @@ void OccupancyOctree::finalizeNode(std::uint32_t index, std::uint32_t child_inde
   node.has_occupied = uniform == Occupancy::Occupied ? 1 : 0;
 }
 
-void OccupancyOctree::applyKeys(std::span<const std::uint64_t> keys, int depth,
-                                Occupancy state) {
+/// Targets from a span of path keys: the shared prefix with the previous
+/// key is the leading run of zero 3-bit groups of their xor.
+struct OccupancyOctree::KeyCursor {
+  std::span<const std::uint64_t> keys;
+  int depth;
+  std::size_t next_index = 0;
+  std::uint64_t key = 0;
+  std::uint64_t prev = 0;
+
+  bool next() {
+    if (next_index == keys.size()) return false;
+    prev = key;
+    key = keys[next_index++];
+    return true;
+  }
+  /// Deepest level <= tip whose cell holds both the previous and this key.
+  int restart(int tip) const {
+    const std::uint64_t diff = key ^ prev;
+    const int common = diff == 0 ? depth : depth - 1 - (std::bit_width(diff) - 1) / 3;
+    return std::min(common, tip);
+  }
+  /// Child index of this key's cell at depth d.
+  int child(int d) const { return static_cast<int>((key >> (3 * (depth - 1 - d))) & 7u); }
+};
+
+/// Targets from a ray march, keyed without building keys. Per depth d the
+/// cursor keeps the center cellKey() compares against at d and the box of
+/// points whose comparisons at depths < d match the current path: each box
+/// edge is the running max (compared >=) or min (compared <) of the centers
+/// above it, so "inside box d" is exactly "same first d key groups" — in
+/// floating point too, since the centers come from cellKey()'s own
+/// arithmetic rather than from cell geometry.
+struct OccupancyOctree::RayCursor {
+  struct Rung {
+    double cx, cy, cz;  ///< the center compared at this depth
+    double lx, ly, lz;  ///< box low edges (inclusive)
+    double hx, hy, hz;  ///< box high edges (exclusive)
+  };
+  std::array<Rung, kMaxKeyDepth + 1> rung;  // filled lazily, depth by depth
+  const double* q;                          ///< cellKey()'s per-depth offset
+  Aabb root;
+  Vec3 origin, dir;
+  double step, length, t;
+  Vec3 p;  ///< the current sample
+
+  RayCursor(const OccupancyOctree& tree, const Vec3& o, const Vec3& d, double s, double len)
+      : q(tree.ladder_q_.data()), root(tree.root_box_), origin(o), dir(d), step(s), length(len),
+        t(s * 0.5) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const Vec3 c = root.center();
+    rung[0] = {c.x, c.y, c.z, -kInf, -kInf, -kInf, kInf, kInf, kInf};
+  }
+
+  bool next() {
+    for (; t < length; t += step) {
+      p = origin + dir * t;
+      if (root.contains(p)) {
+        t += step;
+        return true;
+      }
+    }
+    return false;
+  }
+  /// Climb from the tip to the deepest box that holds the sample.
+  int restart(int tip) const {
+    for (;; --tip) {
+      const Rung& r = rung[static_cast<std::size_t>(tip)];
+      // Non-short-circuit: six compares beat six data-dependent branches.
+      if (tip == 0 || ((p.x >= r.lx) & (p.x < r.hx) & (p.y >= r.ly) & (p.y < r.hy) &
+                       (p.z >= r.lz) & (p.z < r.hz)))
+        return tip;
+    }
+  }
+  /// One rung of cellKey()'s ladder at depth d; fills depth d + 1.
+  int child(int d) {
+    const Rung& r = rung[static_cast<std::size_t>(d)];
+    // +0.0 and copysign exactly as in cellKey().
+    const double dx = (p.x - r.cx) + 0.0;
+    const double dy = (p.y - r.cy) + 0.0;
+    const double dz = (p.z - r.cz) + 0.0;
+    const double qd = q[d];
+    const bool bx = dx >= 0.0, by = dy >= 0.0, bz = dz >= 0.0;
+    rung[static_cast<std::size_t>(d) + 1] = {
+        r.cx + std::copysign(qd, dx),       r.cy + std::copysign(qd, dy),
+        r.cz + std::copysign(qd, dz),       bx ? std::max(r.lx, r.cx) : r.lx,
+        by ? std::max(r.ly, r.cy) : r.ly,   bz ? std::max(r.lz, r.cz) : r.lz,
+        bx ? r.hx : std::min(r.hx, r.cx),   by ? r.hy : std::min(r.hy, r.cy),
+        bz ? r.hz : std::min(r.hz, r.cz)};
+    return (bx ? 1 : 0) | (by ? 2 : 0) | (bz ? 4 : 0);
+  }
+};
+
+template <typename Cursor>
+void OccupancyOctree::walk(Cursor& cursor, int depth, Occupancy state) {
   // path[d] = pool index of the node at depth d along the current descent.
   // dirty bit d = the node at depth d saw a split or terminal write
   // somewhere beneath it and needs its merge/aggregate maintenance before
@@ -188,23 +282,22 @@ void OccupancyOctree::applyKeys(std::span<const std::uint64_t> keys, int depth,
   std::array<std::uint32_t, kMaxKeyDepth + 1> path;
   std::uint32_t dirty = 0;
   path[0] = kRootIndex;
-  int deepest = 0;  // deepest level path[] is valid for
-  std::uint64_t prev = 0;
+  int tip = 0;  // deepest level path[] is valid for
   bool first = true;
 
-  for (const std::uint64_t key : keys) {
-    if (!first && key == prev) continue;  // duplicate target cell: no-op
-
+  while (cursor.next()) {
     // Restart the walk at the deepest ancestor shared with the previous
-    // key: unwind (merging/refreshing aggregate bits) down to it, then
-    // descend only the differing suffix.
+    // target: unwind (merging/refreshing aggregate bits) down to it, then
+    // descend only the differing suffix. A target whose restart is the tip
+    // itself is the previous cell again, or lies inside the same-state leaf
+    // the previous descent stopped at: a no-op either way.
     int common = 0;
     if (!first) {
-      const std::uint64_t diff = key ^ prev;
-      common = diff == 0 ? depth : depth - 1 - (std::bit_width(diff) - 1) / 3;
-      common = std::min(common, deepest);
+      common = cursor.restart(tip);
+      if (common == tip) continue;
     }
-    for (int d = deepest - 1; d >= common; --d) {
+    first = false;
+    for (int d = tip - 1; d >= common; --d) {
       if (dirty & (1u << d)) {
         finalizeNode(path[d], path[d + 1]);
         dirty &= ~(1u << d);
@@ -212,24 +305,21 @@ void OccupancyOctree::applyKeys(std::span<const std::uint64_t> keys, int depth,
     }
 
     int d = common;
-    bool noop = false;
     bool structural = false;
     for (; d < depth; ++d) {
       if (pool_[path[d]].isLeaf()) {
-        if (pool_[path[d]].state == state) {
-          // The whole enclosing cell already has this state.
-          noop = true;
-          break;
-        }
+        // The whole enclosing cell already has this state.
+        if (pool_[path[d]].state == state) break;
         splitNode(path[d]);
         structural = true;
       }
-      const int ci = static_cast<int>((key >> (3 * (depth - 1 - d))) & 7u);
-      path[d + 1] = pool_[path[d]].first_child + static_cast<std::uint32_t>(ci);
+      path[d + 1] = pool_[path[d]].first_child + static_cast<std::uint32_t>(cursor.child(d));
     }
-    deepest = d;
-    if (!noop) {
-      Node& node = pool_[path[depth]];
+    tip = d;
+    // The terminal write. A target that is already a leaf in `state` is a
+    // no-op (no split can precede it: a split copies a different state).
+    Node& node = pool_[path[d]];
+    if (d == depth && !(node.isLeaf() && node.state == state)) {
       if (state == Occupancy::Free) {
         // Sticky occupancy: never let a free-space sweep erase an obstacle
         // (one bit check — the seed implementation re-walked the subtree).
@@ -250,15 +340,19 @@ void OccupancyOctree::applyKeys(std::span<const std::uint64_t> keys, int depth,
     // A split chain with a sticky-rejected terminal still altered structure
     // (the seed code split on the way down and re-merged on the way up), so
     // ancestors must run their merge checks either way.
-    if (structural) dirty |= (1u << deepest) - 1u;
-    prev = key;
-    first = false;
+    if (structural) dirty |= (1u << tip) - 1u;
   }
-  for (int d = deepest - 1; d >= 0; --d) {
+  for (int d = tip - 1; d >= 0; --d) {
     if (dirty & (1u << d)) finalizeNode(path[d], path[d + 1]);
   }
-  // (dirty bits above `deepest` cannot exist: marks only ever cover levels
+  // (dirty bits above `tip` cannot exist: marks only ever cover levels
   // below the current path tip, and unwinds clear as they go.)
+}
+
+void OccupancyOctree::applyKeys(std::span<const std::uint64_t> keys, int depth,
+                                Occupancy state) {
+  KeyCursor cursor{keys, depth};
+  walk(cursor, depth, state);
 }
 
 void OccupancyOctree::updateCell(const Vec3& p, int level, Occupancy state) {
@@ -275,6 +369,15 @@ void OccupancyOctree::updateCells(std::span<const std::uint64_t> keys, int level
   const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
   stats_dirty_ = true;
   applyKeys(keys, depth, state);
+}
+
+void OccupancyOctree::updateRay(const Vec3& origin, const Vec3& dir, double step, double length,
+                                int level, Occupancy state) {
+  if (state == Occupancy::Unknown) return;
+  const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
+  stats_dirty_ = true;
+  RayCursor cursor(*this, origin, dir, step, length);
+  walk(cursor, depth, state);
 }
 
 Occupancy OccupancyOctree::query(const Vec3& p) const {

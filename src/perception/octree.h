@@ -21,7 +21,10 @@
 // *path key* (the concatenated child indices of its root-to-cell descent,
 // see cellKey()), and updateCells() applies a whole same-level/same-state
 // batch in key order, reusing the shared tree prefix between consecutive
-// keys instead of re-descending from the root per cell.
+// keys instead of re-descending from the root per cell. A ray march skips
+// the keys altogether: updateRay() walks the tree along the ray, re-running
+// cellKey()'s comparisons only below the deepest ancestor whose cell still
+// holds the next sample, through the same walk.
 #pragma once
 
 #include <algorithm>
@@ -98,6 +101,17 @@ class OccupancyOctree {
   /// (sorting them costs more than it saves); spatially scattered batches
   /// benefit from a std::sort first.
   void updateCells(std::span<const std::uint64_t> keys, int level, Occupancy state);
+
+  /// Fused ray march: exactly updateCells() over the cellKey(p, level) keys
+  /// of the samples p = origin + dir * t, t = step/2, 3*step/2, ... while
+  /// t < length, skipping samples outside rootBox(). The keys are never
+  /// built: the walk keeps cellKey()'s comparison ladder per depth, climbs
+  /// to the deepest ancestor cell that still holds the next sample, and
+  /// re-runs the comparisons only below it. A sample that stays in the
+  /// current cell (or in the same-state leaf the walk stopped at) costs one
+  /// box test.
+  void updateRay(const Vec3& origin, const Vec3& dir, double step, double length, int level,
+                 Occupancy state);
 
   /// Occupancy of the finest known cell containing p (Unknown outside).
   Occupancy query(const Vec3& p) const;
@@ -200,12 +214,19 @@ class OccupancyOctree {
   /// Split a leaf: children copy its state (and therefore its bit).
   void splitNode(std::uint32_t index);
   /// Merge-or-refresh the aggregate state of the node at `index` after the
-  /// walk leaves its child at `child_index` (the unwind step of the keyed
-  /// walker).
+  /// walk leaves its child at `child_index` (the unwind step of walk()).
   void finalizeNode(std::uint32_t index, std::uint32_t child_index);
-  /// Core keyed walker: apply `state` at `depth` for each key in order,
-  /// sharing tree prefixes between consecutive keys (adjacent duplicates
-  /// collapse to one application; non-adjacent repeats are no-ops).
+  /// The two target sources of walk(): a span of path keys, and a ray
+  /// march whose keys are derived on the fly (see octree.cpp).
+  struct KeyCursor;
+  struct RayCursor;
+  /// The one update walker: apply `state` at `depth` to each target the
+  /// cursor yields, in order, restarting at the deepest ancestor shared with
+  /// the previous target (adjacent duplicates collapse to one application;
+  /// non-adjacent repeats and targets already in `state` are no-ops).
+  template <typename Cursor>
+  void walk(Cursor& cursor, int depth, Occupancy state);
+  /// walk() over a span of cellKey() keys.
   void applyKeys(std::span<const std::uint64_t> keys, int depth, Occupancy state);
 
   /// Per-node cached subtree reduction (compact mirror of Stats: counts fit
@@ -283,6 +304,9 @@ class OccupancyOctree {
   mutable std::vector<std::uint32_t> block_cells_;
   /// cellSizeAtLevel table, levels 0..maxDepth().
   std::vector<double> level_size_;
+  /// cellKey()'s child-center offset per depth: root_size*0.25, halved per
+  /// depth (depths 0..maxDepth()-1).
+  std::vector<double> ladder_q_;
   mutable Stats stats_cache_;
   mutable bool stats_dirty_ = true;
 };

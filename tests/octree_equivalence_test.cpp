@@ -3,7 +3,8 @@
 // pooled Morton-keyed tree, and demand identical observable behavior —
 // occupancy answers, stats, coarsening/collection output (including order),
 // cached per-level occupied counts, the sphere-culled collection, and
-// nearest-occupied distances. This is the contract that let the pool
+// nearest-occupied distances — and the fused ray walk against the keyed
+// batch it replaces in the kernel. This is the contract that let the pool
 // refactor land without perturbing a single MissionResult bit.
 //
 // Registered under tier2; run it with -DROBORUN_SANITIZE=address;undefined
@@ -162,6 +163,92 @@ void expectEquivalent(const OccupancyOctree& pooled, const reference::ReferenceO
   expectCulledWalkExact(pooled, rng, max_level);
 }
 
+/// Bitwise identity of two pooled trees: stats (volumes included), live
+/// node count, and the occupied collection and cached count at every level.
+void expectSameTree(const OccupancyOctree& a, const OccupancyOctree& b) {
+  const auto& sa = a.stats();
+  const auto& sb = b.stats();
+  EXPECT_EQ(sa.occupied_leaves, sb.occupied_leaves);
+  EXPECT_EQ(sa.free_leaves, sb.free_leaves);
+  EXPECT_EQ(sa.inner_nodes, sb.inner_nodes);
+  EXPECT_EQ(sa.occupied_volume, sb.occupied_volume);
+  EXPECT_EQ(sa.free_volume, sb.free_volume);
+  EXPECT_EQ(a.liveNodeCount(), b.liveNodeCount());
+  for (int level = 0; level <= a.maxDepth(); ++level) {
+    const auto va = a.collectOccupied(level);
+    const auto vb = b.collectOccupied(level);
+    ASSERT_EQ(va.size(), vb.size()) << "collectOccupied size at level " << level;
+    for (std::size_t i = 0; i < va.size(); ++i) expectSameVoxel(va[i], vb[i]);
+    EXPECT_EQ(a.occupiedCellCount(level), b.occupiedCellCount(level)) << "level " << level;
+  }
+}
+
+/// One tree per path a ray march can take: the fused walk (updateRay), the
+/// keyed batch it is defined as (cellKey + updateCells), and the seed's
+/// per-cell root descents.
+struct RayTrees {
+  OccupancyOctree ray;
+  OccupancyOctree keyed;
+  reference::ReferenceOctree ref;
+  RayTrees(const Aabb& extent, double voxel_min)
+      : ray(extent, voxel_min), keyed(extent, voxel_min), ref(extent, voxel_min) {}
+
+  void march(const Vec3& origin, const Vec3& dir, double step, double length, int level,
+             Occupancy state) {
+    ray.updateRay(origin, dir, step, length, level, state);
+    std::vector<std::uint64_t> keys;
+    for (double t = step * 0.5; t < length; t += step) {
+      const Vec3 p = origin + dir * t;
+      ref.updateCell(p, level, state);
+      if (keyed.rootBox().contains(p)) keys.push_back(keyed.cellKey(p, level));
+    }
+    keyed.updateCells(keys, level, state);
+  }
+  void point(const Vec3& p, int level, Occupancy state) {
+    ray.updateCell(p, level, state);
+    keyed.updateCell(p, level, state);
+    ref.updateCell(p, level, state);
+  }
+};
+
+/// The kernel's per-frame pattern (per ray: a same-level march, then a
+/// finer occupied endpoint for hits) plus whole rays marched Occupied.
+/// Origins are drawn from [-spread, spread]^3 around `center`; ray lengths
+/// reach well past the root box.
+void sweepRandomFrames(RayTrees& t, Rng& rng, const Vec3& center, double spread, int frames) {
+  struct Ray {
+    Vec3 dir;
+    double len;
+    bool hit;
+    Occupancy state;
+  };
+  const Vec3 s{spread, spread, spread};
+  for (int frame = 0; frame < frames; ++frame) {
+    const Vec3 origin = rng.uniformInBox(center - s, center + s);
+    const int occ_level = rng.uniformInt(0, 1);
+    const int free_level = rng.uniformInt(occ_level, 3);
+    const double cell = t.ray.cellSizeAtLevel(free_level);
+    std::vector<Ray> rays;
+    for (int rayi = 0; rayi < 40; ++rayi)
+      rays.push_back({randomDirection(rng), rng.uniform(0.5, 9.0), rng.chance(0.5),
+                      rng.chance(0.15) ? Occupancy::Occupied : Occupancy::Free});
+    // Every third frame is swept twice: the second pass is mostly no-ops.
+    for (int pass = 0; pass < (frame % 3 == 1 ? 2 : 1); ++pass) {
+      for (const Ray& r : rays) {
+        const double free_len = r.hit ? std::max(0.0, r.len - cell) : r.len;
+        t.march(origin, r.dir, cell, free_len, free_level, r.state);
+        if (r.hit) t.point(origin + r.dir * r.len, occ_level, Occupancy::Occupied);
+      }
+    }
+    expectSameTree(t.ray, t.keyed);
+    const auto& ps = t.ray.stats();
+    const auto& rs = t.ref.stats();
+    EXPECT_EQ(ps.occupied_leaves, rs.occupied_leaves);
+    EXPECT_EQ(ps.free_leaves, rs.free_leaves);
+    EXPECT_EQ(ps.inner_nodes, rs.inner_nodes);
+  }
+}
+
 class OctreeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Arbitrary interleavings of point updates at arbitrary levels and states.
@@ -225,6 +312,77 @@ TEST_P(OctreeEquivalence, BatchedRayInsertionMatchesSeedPerCell) {
   }
   Rng probe(GetParam() + 3);
   expectEquivalent(pooled, ref, probe, pooled.maxDepth());
+}
+
+// The fused ray walk against the keyed batch it is defined as and against
+// the seed's per-cell descents: random frames (rays leaving and starting
+// outside the root box, frames swept twice, Free and Occupied marches at
+// levels 0-3), samples exactly on ladder center planes, degenerate lengths,
+// and a root far from the origin, where cellKey()'s center sums round.
+TEST_P(OctreeEquivalence, RayWalkMatchesKeyedBatch) {
+  // Ladder ties. With dir.x = 0.5 and origin.x = -0.5 * t_k the k-th sample
+  // lands exactly on the root center plane x = 0 (the p == c tie, which
+  // cellKey() sends to the upper child) right after samples below it, and
+  // is the ray's last sample. The other coordinates sit on a center plane,
+  // at -0.0 (kept -0.0 by a -0.0 direction component), or off-plane.
+  {
+    RayTrees ties(worldBox(), kVoxMin);
+    Rng rng(GetParam() + 31);
+    for (int level = 0; level <= 3; ++level) {
+      const double step = ties.ray.cellSizeAtLevel(level);
+      for (int k = 1; k < 6; ++k) {
+        double tk = step * 0.5;
+        for (int i = 0; i < k; ++i) tk += step;
+        for (int axis = 0; axis < 3; ++axis) {
+          for (int variant = 0; variant < 3; ++variant) {
+            const double other = variant == 0 ? 0.0 : variant == 1 ? -0.0 : rng.uniform(-4.0, 4.0);
+            const double other_dir = variant == 1 ? -0.0 : 0.0;
+            double origin[3] = {other, other, other};
+            double dir[3] = {other_dir, other_dir, other_dir};
+            origin[axis] = -0.5 * tk;
+            dir[axis] = 0.5;
+            const Occupancy state = (k + axis) % 4 == 0 ? Occupancy::Occupied : Occupancy::Free;
+            ties.march({origin[0], origin[1], origin[2]}, {dir[0], dir[1], dir[2]}, step,
+                       tk + step * 0.5, level, state);
+          }
+        }
+      }
+    }
+    expectSameTree(ties.ray, ties.keyed);
+    expectCellCounts(ties.ray, ties.ref);
+    Rng probe(GetParam() + 37);
+    expectEquivalent(ties.ray, ties.ref, probe, ties.ray.maxDepth());
+  }
+
+  // Random frames, then rays too short to sample (length <= step/2).
+  RayTrees trees(worldBox(), kVoxMin);
+  Rng rng(GetParam() * 2654435761ULL + 29);
+  sweepRandomFrames(trees, rng, {0.0, 0.0, 0.0}, kHalf + 3.0, 12);
+  const auto before = trees.ray.stats();
+  for (int level = 0; level <= 3; ++level) {
+    const double step = trees.ray.cellSizeAtLevel(level);
+    for (const double len : {step * 0.5, 0.0, -step})
+      trees.march({0.1, 0.2, 0.3}, randomDirection(rng), step, len, level, Occupancy::Occupied);
+  }
+  EXPECT_EQ(trees.ray.stats().occupied_leaves, before.occupied_leaves);
+  EXPECT_EQ(trees.ray.stats().inner_nodes, before.inner_nodes);
+  expectSameTree(trees.ray, trees.keyed);
+  Rng probe_a(GetParam() + 41);
+  expectEquivalent(trees.ray, trees.ref, probe_a, trees.ray.maxDepth());
+  Rng probe_b(GetParam() + 41);
+  expectEquivalent(trees.keyed, trees.ref, probe_b, trees.keyed.maxDepth());
+
+  // A root 7.3e14 m from the origin: the ladder's center sums round by up
+  // to half a 0.125 m ulp per rung, so cellKey()'s cells are not the
+  // geometric ones. The walk must reproduce the ladder, not the geometry.
+  // (Only the reference's counters are compared here: its collection
+  // deduplicates by grid snap, and at this offset distinct tree cells can
+  // snap onto one grid cell.)
+  const Vec3 far{7.3e14, -7.3e14, 7.3e14};
+  const Vec3 h{kHalf, kHalf, kHalf};
+  RayTrees offset({far - h, far + h}, kVoxMin);
+  Rng far_rng(GetParam() + 43);
+  sweepRandomFrames(offset, far_rng, far, kHalf, 8);
 }
 
 // Order-independence of a same-level/same-state batch: Morton-sorted batch
