@@ -16,4 +16,10 @@ if(ROBORUN_SANITIZE)
   message(STATUS "Sanitizers enabled: ${_roborun_san}")
   add_compile_options(-fsanitize=${_roborun_san} -fno-omit-frame-pointer)
   add_link_options(-fsanitize=${_roborun_san})
+  # The ASan/UBSan lane also checks libstdc++'s preconditions (bounds on
+  # operator[], std::clamp's lo <= hi, ...). ABI-compatible, unlike
+  # _GLIBCXX_DEBUG, so the system gtest still links.
+  if("address" IN_LIST ROBORUN_SANITIZE OR "undefined" IN_LIST ROBORUN_SANITIZE)
+    add_compile_definitions(_GLIBCXX_ASSERTIONS)
+  endif()
 endif()

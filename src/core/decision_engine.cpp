@@ -548,7 +548,10 @@ SpaceProfile DecisionEngine::profileForClient(ClientState& state,
       if (c.sample_s.empty()) return 1.0;
       const auto idx = static_cast<std::size_t>(std::clamp(
           (s - c.start_s) / probe, 0.0, static_cast<double>(c.sample_s.size() - 1)));
-      return std::clamp(c.free_until[idx] - s, 0.5, frame.max_range);
+      // Not std::clamp: max_range can fall below 0.5, which breaks its
+      // lo <= hi precondition. This is libstdc++'s clamp body, so the result
+      // is unchanged (max_range wins when it is below the floor).
+      return std::min(std::max(c.free_until[idx] - s, 0.5), frame.max_range);
     };
 
     profile.waypoints.push_back(
