@@ -373,7 +373,8 @@ void OccupancyOctree::updateCells(std::span<const std::uint64_t> keys, int level
 
 void OccupancyOctree::updateRay(const Vec3& origin, const Vec3& dir, double step, double length,
                                 int level, Occupancy state) {
-  if (state == Occupancy::Unknown) return;
+  // A step that is not positive (or NaN) would never advance t.
+  if (state == Occupancy::Unknown || !(step > 0.0)) return;
   const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
   stats_dirty_ = true;
   RayCursor cursor(*this, origin, dir, step, length);

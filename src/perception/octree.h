@@ -109,7 +109,7 @@ class OccupancyOctree {
   /// to the deepest ancestor cell that still holds the next sample, and
   /// re-runs the comparisons only below it. A sample that stays in the
   /// current cell (or in the same-state leaf the walk stopped at) costs one
-  /// box test.
+  /// box test. A `step` that is not positive marks nothing.
   void updateRay(const Vec3& origin, const Vec3& dir, double step, double length, int level,
                  Occupancy state);
 

@@ -363,6 +363,10 @@ TEST_P(OctreeEquivalence, RayWalkMatchesKeyedBatch) {
     const double step = trees.ray.cellSizeAtLevel(level);
     for (const double len : {step * 0.5, 0.0, -step})
       trees.march({0.1, 0.2, 0.3}, randomDirection(rng), step, len, level, Occupancy::Occupied);
+    // A step that never advances marks nothing (and must not hang).
+    for (const double bad_step : {0.0, -step, std::nan("")})
+      trees.ray.updateRay({0.1, 0.2, 0.3}, randomDirection(rng), bad_step, 5.0, level,
+                          Occupancy::Occupied);
   }
   EXPECT_EQ(trees.ray.stats().occupied_leaves, before.occupied_leaves);
   EXPECT_EQ(trees.ray.stats().inner_nodes, before.inner_nodes);
