@@ -7,13 +7,13 @@
 // the paper-scale protocol (full goal distances / spreads).
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "env/env_gen.h"
@@ -21,6 +21,7 @@
 #include "runtime/designs.h"
 #include "runtime/mission.h"
 #include "runtime/report.h"
+#include "scenario/fleet_scheduler.h"
 
 namespace roborun::bench {
 
@@ -32,12 +33,7 @@ inline bool fullScale() {
 /// Suite knobs: the paper's Fig. 8a values at full scale, a proportionally
 /// shrunken 3x3x3 grid otherwise (same structure, shorter missions).
 inline env::SuiteKnobs benchSuiteKnobs() {
-  env::SuiteKnobs knobs;
-  if (!fullScale()) {
-    knobs.spreads = {25.0, 40.0, 55.0};
-    knobs.goal_distances = {250.0, 375.0, 500.0};
-  }
-  return knobs;
+  return fullScale() ? env::SuiteKnobs{} : env::smallSuiteKnobs();
 }
 
 /// Mission configuration used by all mission-level benches.
@@ -67,28 +63,30 @@ struct MissionJob {
   runtime::MissionResult result;
 };
 
-/// Run all jobs on a thread pool (missions are independent; each builds its
-/// own world and pipeline).
+/// Run all jobs through scenario::FleetScheduler (missions are independent;
+/// each builds its own world and pipeline, results land at the job index).
 inline void runMissions(std::vector<MissionJob>& jobs, const runtime::MissionConfig& config,
                         std::size_t threads = 0) {
   if (threads == 0) {
     const std::size_t hw = std::thread::hardware_concurrency();
     threads = std::min<std::size_t>(jobs.size(), hw > 2 ? hw - 2 : 1);
   }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= jobs.size()) return;
-        const auto environment = env::generateEnvironment(jobs[i].spec);
-        jobs[i].result = runtime::runMission(environment, jobs[i].design, config);
-      }
-    });
+  scenario::FleetConfig fleet_config;
+  fleet_config.threads = static_cast<unsigned>(threads);
+  std::vector<scenario::MissionCase> cases;
+  for (const MissionJob& job : jobs) {
+    scenario::MissionCase c;
+    c.scenario = "bench";
+    c.env = job.spec;
+    c.design = job.design;
+    c.config = config;
+    cases.push_back(std::move(c));
   }
-  for (auto& th : pool) th.join();
+  scenario::FleetScheduler scheduler(config, fleet_config);
+  scheduler.admit(std::move(cases));
+  scenario::FleetResult result = scheduler.run();
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i].result = std::move(result.rows[i].result);
 }
 
 /// "N of M missions reached the goal" summary line.

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "runtime/designs.h"
 #include "scenario/catalog.h"
 #include "scenario/fleet_report.h"
@@ -47,7 +48,7 @@
 namespace {
 
 using namespace roborun;
-using scenario::jsonNumber;
+using obs::jsonNumber;
 
 struct Variant {
   const char* name;
@@ -78,8 +79,8 @@ int main(int argc, char** argv) {
     threads = std::clamp(std::thread::hardware_concurrency(), 2u, 8u);
 
   // Workload: the whole family registry, at smoke fidelity (throughput is
-  // the subject here, not sensing fidelity — same policy as suite_runner's
-  // perf grid).
+  // the subject here, not sensing fidelity — same policy as the
+  // fleet_runner --grid perf runs).
   const double scale = smoke ? 0.35 : 0.5;
   const std::size_t missions_per_scenario = smoke ? 1 : 3;
   const std::vector<scenario::ScenarioSpec> catalog =

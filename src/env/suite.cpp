@@ -2,6 +2,29 @@
 
 namespace roborun::env {
 
+SuiteKnobs smokeSuiteKnobs() {
+  SuiteKnobs knobs;
+  knobs.densities = {0.45};
+  knobs.spreads = {22.0};
+  knobs.goal_distances = {140.0};
+  return knobs;
+}
+
+SuiteKnobs smallSuiteKnobs() {
+  SuiteKnobs knobs;
+  knobs.spreads = {25.0, 40.0, 55.0};
+  knobs.goal_distances = {250.0, 375.0, 500.0};
+  return knobs;
+}
+
+bool parseSuitePreset(const std::string& name, SuiteKnobs& out) {
+  if (name == "smoke") out = smokeSuiteKnobs();
+  else if (name == "small") out = smallSuiteKnobs();
+  else if (name == "paper") out = SuiteKnobs{};
+  else return false;
+  return true;
+}
+
 std::vector<EnvSpec> evaluationSuite(std::uint64_t base_seed, const SuiteKnobs& knobs) {
   std::vector<EnvSpec> specs;
   specs.reserve(knobs.densities.size() * knobs.spreads.size() * knobs.goal_distances.size());

@@ -2,6 +2,7 @@
 // obstacle density x spread x goal distance, 3 values each.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "env/env_spec.h"
@@ -14,6 +15,18 @@ struct SuiteKnobs {
   std::vector<double> spreads{40.0, 80.0, 120.0};
   std::vector<double> goal_distances{600.0, 900.0, 1200.0};
 };
+
+/// One very short mid-density cell: drives the whole loop end to end in
+/// seconds (the CTest and CI smoke grid).
+SuiteKnobs smokeSuiteKnobs();
+
+/// Fig. 8a's 3x3x3 structure shrunk to short missions (spreads 25-55 m,
+/// goals 250-500 m): the reduced-scale grid of the benches and tests.
+SuiteKnobs smallSuiteKnobs();
+
+/// Named preset: "smoke", "small", or "paper" (SuiteKnobs{}, Fig. 8a
+/// itself). False, `out` untouched, on any other name.
+bool parseSuitePreset(const std::string& name, SuiteKnobs& out);
 
 /// All 27 specs (full cross product), seeds derived deterministically from
 /// `base_seed` so the whole suite replays.

@@ -10,8 +10,8 @@
 // strictly outside the bitwise replay contract.
 //
 // The histogram is the aggregation primitive that replaces the
-// hand-rolled mean-only timing fields scattered through suite_runner and
-// fleet_report. Buckets are log-spaced (8 per decade over 12 decades,
+// hand-rolled mean-only timing fields the batch harnesses used to carry.
+// Buckets are log-spaced (8 per decade over 12 decades,
 // [1e-6, 1e6) in whatever unit the caller records — ms for every wall
 // histogram in the tree) with explicit underflow/overflow buckets.
 // Percentiles are EXACT in rank (nearest-rank over the recorded counts)

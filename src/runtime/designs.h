@@ -19,7 +19,7 @@ MissionConfig testMissionConfig();
 
 /// testMissionConfig() plus a cheap spatial-oblivious design point: the
 /// baseline's Table II worst-case volumes are wall-clock expensive at every
-/// decision, so smoke tests (determinism, suite_runner's CTest grid) shrink
+/// decision, so smoke tests (determinism, fleet_runner's CTest grid) shrink
 /// them. Only for tests that don't measure fidelity.
 MissionConfig smokeMissionConfig();
 

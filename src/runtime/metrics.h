@@ -108,7 +108,7 @@ struct MissionResult {
   std::size_t fault_spikes = 0;
   /// Measured wall time spent replanning (planner + smoother, summed over
   /// the replanning decisions) across the whole mission (ms). A measurement
-  /// of this run, like suite_runner's wall_ms — NOT part of the
+  /// of this run, like a fleet row's wall_ms — NOT part of the
   /// deterministic replay contract; every decision-driving quantity uses
   /// the modeled latencies instead.
   double planner_wall_ms = 0.0;
@@ -120,7 +120,7 @@ struct MissionResult {
 
   std::size_t decisions() const { return records.size(); }
   /// Decisions that ran the planner (the replan-rate denominator for the
-  /// per-replan timing suite_runner reports).
+  /// per-replan timing fleet_runner --bench-json reports).
   std::size_t replans() const;
   /// Mean of the per-decision commanded velocities (the paper's "flight
   /// velocity" metric).

@@ -315,6 +315,32 @@ std::vector<ScenarioSpec> builtinCatalog(std::uint64_t base_seed, double scale,
   return catalog;
 }
 
+std::vector<MissionCase> gridCases(const env::SuiteKnobs& knobs, std::size_t seeds,
+                                   const runtime::MissionConfig& base,
+                                   std::size_t max_envs) {
+  std::vector<env::EnvSpec> specs = env::evaluationSuite(42, knobs);
+  if (max_envs > 0 && specs.size() > max_envs) specs.resize(max_envs);
+  std::vector<MissionCase> cases;
+  for (const env::EnvSpec& spec : specs) {
+    for (const runtime::DesignType design :
+         {runtime::DesignType::SpatialOblivious, runtime::DesignType::RoboRun}) {
+      for (std::size_t s = 0; s < seeds; ++s) {
+        MissionCase c;
+        c.scenario = runtime::designName(design);
+        c.env = spec;
+        c.design = design;
+        c.config = base;
+        c.config.seed = base.seed + s;
+        c.label = spec.label();  // appends dodge GCC 12's -Wrestrict (GCC bug 105651)
+        c.label += "/mission";
+        c.label += std::to_string(c.config.seed);
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  return cases;
+}
+
 namespace {
 
 /// Exact bit pattern of a double — describeCases() must distinguish what

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "env/suite.h"
 #include "runtime/mission.h"
 #include "scenario/scenario_spec.h"
 
@@ -79,6 +80,16 @@ std::vector<MissionCase> expandScenario(const ScenarioSpec& spec,
 /// CI smoke catalog.
 std::vector<ScenarioSpec> builtinCatalog(std::uint64_t base_seed = 1, double scale = 1.0,
                                          std::size_t missions = 2);
+
+/// The paper's evaluation grid as fleet cases: the specs of
+/// env::evaluationSuite(42, knobs) (the first `max_envs` of them; 0 = all),
+/// each flown by SpatialOblivious then RoboRun for `seeds` missions seeded
+/// base.seed + s, in env -> design -> seed order. Every case's scenario is
+/// its design's name, so a fleet run aggregates one shard per design. Not a
+/// catalog family: a family is a procedural generator, the grid is Fig. 8a.
+std::vector<MissionCase> gridCases(const env::SuiteKnobs& knobs, std::size_t seeds,
+                                   const runtime::MissionConfig& base,
+                                   std::size_t max_envs = 0);
 
 /// Canonical, byte-stable description of an expansion: every
 /// decision-driving field (env knobs, seeds, sensor conditions, each

@@ -3,16 +3,49 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace roborun::scenario {
 
-obs::MetricsSnapshot fleetMetricsSnapshot(const FleetResult& result) {
+using obs::jsonEscape;
+using obs::jsonNumber;
+
+void observeEpochStaleness(runtime::MissionConfig& config,
+                           obs::MetricsRegistry& registry) {
+  // Resolved once: workers then record through lock-free relaxed atomics.
+  obs::Histogram* staleness = &registry.histogram("epoch_staleness");
+  obs::Counter* fresh = &registry.counter("epoch_staleness_fresh");
+  obs::Counter* stale_one = &registry.counter("epoch_staleness_stale_one");
+  obs::Counter* stale_over = &registry.counter("epoch_staleness_stale_over");
+  config.decision_observer = [=](std::size_t, std::size_t age) {
+    staleness->record(static_cast<double>(age));
+    (age == 0 ? fresh : age == 1 ? stale_one : stale_over)->add();
+  };
+}
+
+obs::MetricsSnapshot fleetMetricsSnapshot(const FleetResult& result,
+                                          const obs::MetricsSnapshot& epochs) {
   obs::MetricsRegistry registry;
   core::exportStats(result.engine, registry, "engine");
   store::exportStats(result.store, registry, "store");
   registry.gauge("fleet.wall_s").set(result.wall_s);
   registry.gauge("fleet.missions_per_sec").set(result.missions_per_sec);
   registry.counter("fleet.missions").add(result.rows.size());
-  return registry.snapshot();
+  obs::Histogram& mission_wall = registry.histogram("fleet.mission_wall_ms");
+  obs::Histogram& plan_wall = registry.histogram("fleet.plan_wall_ms");
+  obs::Histogram& decision_wall = registry.histogram("fleet.decision_wall_ms");
+  obs::Counter& decisions = registry.counter("fleet.decisions");
+  for (const FleetRow& row : result.rows) {
+    mission_wall.record(row.wall_ms);
+    plan_wall.record(row.result.planner_wall_ms);
+    decision_wall.record(row.result.decision_wall_ms);
+    decisions.add(row.result.decisions());
+  }
+  obs::MetricsSnapshot snapshot = registry.snapshot();
+  snapshot.counters.insert(epochs.counters.begin(), epochs.counters.end());
+  snapshot.gauges.insert(epochs.gauges.begin(), epochs.gauges.end());
+  snapshot.histograms.insert(epochs.histograms.begin(), epochs.histograms.end());
+  return snapshot;
 }
 
 void writeFleetJson(std::ostream& os, const FleetResult& result,
@@ -97,12 +130,35 @@ void writeFleetJson(std::ostream& os, const FleetResult& result,
   os << "}\n";
 }
 
+namespace {
+
+obs::HistogramSummary histogramOr(const obs::MetricsSnapshot& m,
+                                  const std::string& name) {
+  const auto it = m.histograms.find(name);
+  return it == m.histograms.end() ? obs::HistogramSummary{} : it->second;
+}
+
+/// One wall histogram as {count, mean, p50, p95, p99, max, sum}: the shape
+/// every stage-wall consumer (dashboards, trend diffing) reads. Percentiles
+/// are bucket-quantized (obs/metrics_registry.h).
+void writeStage(std::ostream& os, const obs::HistogramSummary& h, int decimals) {
+  os << "{\"count\": " << h.count << ", \"mean\": " << jsonNumber(h.mean(), decimals)
+     << ", \"p50\": " << jsonNumber(h.p50, decimals)
+     << ", \"p95\": " << jsonNumber(h.p95, decimals)
+     << ", \"p99\": " << jsonNumber(h.p99, decimals)
+     << ", \"max\": " << jsonNumber(h.max, decimals)
+     << ", \"sum\": " << jsonNumber(h.sum, decimals) << "}";
+}
+
+}  // namespace
+
 void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
-                         const std::string& catalog_label) {
+                         const std::string& catalog_label,
+                         const obs::MetricsSnapshot& epochs) {
   // Every engine/store number below reads from the SAME adapted snapshot
   // fleet_runner's stderr summary prints — one measurement source, two
   // renderings, no drift.
-  const obs::MetricsSnapshot m = fleetMetricsSnapshot(result);
+  const obs::MetricsSnapshot m = fleetMetricsSnapshot(result, epochs);
   auto c = [&](const char* name) { return m.counterOr(name, 0); };
   os << "{\n";
   os << "  \"schema\": \"roborun-fleet-throughput-v1\",\n";
@@ -139,6 +195,43 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
   os << "    \"inserts\": " << c("store.inserts") << ",\n";
   os << "    \"readonly_skips\": " << c("store.readonly_skips") << ",\n";
   os << "    \"corrupt_rejected\": " << c("store.corrupt_rejected") << "\n";
+  os << "  },\n";
+  // Governor throughput in mission: decisions over the summed governor
+  // wall of every case (0 when nothing decided, never NaN).
+  const obs::HistogramSummary decision_wall = histogramOr(m, "fleet.decision_wall_ms");
+  const obs::HistogramSummary age = histogramOr(m, "epoch_staleness");
+  const double decision_s = decision_wall.sum / 1000.0;
+  const double decisions = static_cast<double>(c("fleet.decisions"));
+  os << "  \"timing\": {\n";
+  os << "    \"total_decisions\": " << c("fleet.decisions") << ",\n";
+  os << "    \"decisions_per_sec\": "
+     << jsonNumber(decision_s > 0.0 ? decisions / decision_s : 0.0, 1)
+     << ",\n";
+  os << "    \"stages\": {\n";
+  os << "      \"mission_wall_ms\": ";
+  writeStage(os, histogramOr(m, "fleet.mission_wall_ms"), 3);
+  os << ",\n      \"plan_wall_ms\": ";
+  writeStage(os, histogramOr(m, "fleet.plan_wall_ms"), 3);
+  os << ",\n      \"decision_wall_ms\": ";
+  writeStage(os, decision_wall, 4);
+  os << "\n    },\n";
+  // The async executor's bounded-staleness contract, per epoch: fresh or
+  // stale by one; stale_over would be a violation.
+  os << "    \"epoch_staleness\": {\"epochs\": " << age.count
+     << ", \"fresh\": " << c("epoch_staleness_fresh")
+     << ", \"stale_one\": " << c("epoch_staleness_stale_one")
+     << ", \"stale_over\": " << c("epoch_staleness_stale_over")
+     << ", \"mean\": " << jsonNumber(age.mean(), 4)
+     << ", \"p95\": " << jsonNumber(age.p95, 4) << "},\n";
+  os << "    \"cases\": [\n";
+  for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    const FleetRow& row = result.rows[i];
+    os << "      {\"case\": " << i << ", \"wall_ms\": " << jsonNumber(row.wall_ms, 3)
+       << ", \"plan_wall_ms\": " << jsonNumber(row.result.planner_wall_ms, 3)
+       << ", \"decision_wall_ms\": " << jsonNumber(row.result.decision_wall_ms, 3) << "}"
+       << (i + 1 < result.rows.size() ? "," : "") << "\n";
+  }
+  os << "    ]\n";
   os << "  }\n";
   os << "}\n";
 }

@@ -9,47 +9,48 @@
 //                        value and either dispatch mode on the same
 //                        catalog — diff it freely.
 //   writeFleetBenchJson  the MEASUREMENT document: wall times, missions/s,
-//                        dispatch shape and shared-engine counters (memo
-//                        hit-rate across tenants). Varies run to run, like
-//                        every wall field in this repo.
+//                        dispatch shape, shared-engine counters (memo
+//                        hit-rate across tenants), the mission / plan /
+//                        decision wall histograms, the epoch staleness
+//                        split and every case's walls. Varies run to run,
+//                        like every wall field in this repo.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "scenario/fleet_scheduler.h"
 
 namespace roborun::scenario {
 
-/// Fixed-decimal double formatting for the fleet JSON documents; JSON has
-/// no NaN/Inf, so non-finite (or absurdly huge) values render as `null` —
-/// visible to any consumer, never silently masked as a fabricated 0. Fixed
-/// decimals over bit-identical inputs render byte-identically, which is
-/// what lets the result document promise byte equality. Delegates to the
-/// observability layer's canonical helper (obs/json.h); kept as an alias
-/// so existing scenario-layer callers and tests keep their spelling.
-inline std::string jsonNumber(double v, int decimals = 6) {
-  return obs::jsonNumber(v, decimals);
-}
-
-/// JSON string escaping for user-controlled text (scenario names, catalog
-/// paths): quotes, backslashes and control characters must never corrupt
-/// the document. Alias of obs::jsonEscape.
-inline std::string jsonEscape(const std::string& s) { return obs::jsonEscape(s); }
+/// Record every epoch's map-snapshot staleness into `registry` through
+/// `config`'s decision_observer: the "epoch_staleness" histogram plus the
+/// "epoch_staleness_fresh" / "_stale_one" / "_stale_over" counters. Always
+/// fresh under the sync pipeline; async bounds it by one, so a stale_over
+/// count is a contract violation. A measurement: results are identical with
+/// or without the observer (runtime/mission.h). `registry` must outlive
+/// every mission flown with `config` or a copy of it.
+void observeEpochStaleness(runtime::MissionConfig& config,
+                           obs::MetricsRegistry& registry);
 
 /// The fleet run's measurement side, adapted into the observability
 /// snapshot: engine counters under "engine.*", store traffic under
-/// "store.*", plus "fleet.*" gauges (wall_s, missions_per_sec). This is
-/// the ONE source both writeFleetBenchJson and fleet_runner's stderr
-/// summary read, so the two surfaces can never drift apart again.
-obs::MetricsSnapshot fleetMetricsSnapshot(const FleetResult& result);
+/// "store.*", "fleet.*" gauges (wall_s, missions_per_sec), the
+/// "fleet.decisions" counter and per-case wall histograms
+/// ("fleet.mission_wall_ms", "fleet.plan_wall_ms", "fleet.decision_wall_ms"),
+/// merged with `epochs` (observeEpochStaleness's registry, when the run
+/// installed it). This is the ONE source both writeFleetBenchJson and
+/// fleet_runner's stderr summary read, so the two surfaces can never drift
+/// apart again.
+obs::MetricsSnapshot fleetMetricsSnapshot(const FleetResult& result,
+                                          const obs::MetricsSnapshot& epochs = {});
 
 void writeFleetJson(std::ostream& os, const FleetResult& result,
                     const std::string& catalog_label);
 
 void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
-                         const std::string& catalog_label);
+                         const std::string& catalog_label,
+                         const obs::MetricsSnapshot& epochs);
 
 }  // namespace roborun::scenario

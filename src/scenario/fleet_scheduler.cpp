@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "env/env_gen.h"
 #include "planning/planner_arena.h"
@@ -36,34 +37,42 @@ FleetScheduler::FleetScheduler(runtime::MissionConfig base, FleetConfig config)
 
 bool FleetScheduler::admit(const ScenarioSpec& spec) {
   if (findFamily(spec.family) == nullptr) return false;
-  std::vector<MissionCase> expanded = expandScenario(spec, base_);
-  // Every admission is its own metric shard: a repeated display name (two
-  // unnamed instances of one family, say) gets a deterministic "#N" suffix
-  // instead of silently merging two unrelated workloads' aggregates.
-  std::string shard = spec.displayName();
+  admit(expandScenario(spec, base_));
+  return true;
+}
+
+void FleetScheduler::admit(std::vector<MissionCase> cases) {
   auto taken = [&](const std::string& key) {
     return std::find(scenario_order_.begin(), scenario_order_.end(), key) !=
            scenario_order_.end();
   };
-  if (taken(shard)) {
-    // Appends, not a `s + "#" + std::to_string(n)` chain — the rvalue
-    // operator+ path trips GCC 12's -Wrestrict false positive (PR105651).
-    std::size_t n = 2;
-    auto suffixed = [&](std::size_t k) {
-      std::string s = shard;
-      s += '#';
-      s += std::to_string(k);
-      return s;
-    };
-    while (taken(suffixed(n))) ++n;
-    shard = suffixed(n);
-  }
-  scenario_order_.push_back(shard);
-  for (MissionCase& c : expanded) {
-    c.scenario = shard;
+  // Batch scenario name -> the shard it was admitted as.
+  std::vector<std::pair<std::string, std::string>> shards;
+  for (MissionCase& c : cases) {
+    auto it = std::find_if(shards.begin(), shards.end(),
+                           [&](const auto& s) { return s.first == c.scenario; });
+    if (it == shards.end()) {
+      std::string shard = c.scenario;
+      if (taken(shard)) {
+        // Appends, not a `s + "#" + std::to_string(n)` chain — the rvalue
+        // operator+ path trips GCC 12's -Wrestrict false positive (GCC bug
+        // 105651).
+        std::size_t n = 2;
+        auto suffixed = [&](std::size_t k) {
+          std::string s = c.scenario;
+          s += '#';
+          s += std::to_string(k);
+          return s;
+        };
+        while (taken(suffixed(n))) ++n;
+        shard = suffixed(n);
+      }
+      scenario_order_.push_back(shard);
+      it = shards.emplace(shards.end(), c.scenario, std::move(shard));
+    }
+    c.scenario = it->second;
     cases_.push_back(std::move(c));
   }
-  return true;
 }
 
 std::size_t FleetScheduler::admitAll(const std::vector<ScenarioSpec>& specs) {
@@ -116,9 +125,8 @@ FleetResult FleetScheduler::run() {
   // sequentially, so the (unsynchronized) arena is never lent to two live
   // pipelines at once.
   std::vector<std::unique_ptr<planning::PlannerArena>> arenas;
-  if (config_.reuse_arenas)
-    for (unsigned t = 0; t < threads; ++t)
-      arenas.push_back(std::make_unique<planning::PlannerArena>());
+  for (unsigned t = 0; t < threads; ++t)
+    arenas.push_back(std::make_unique<planning::PlannerArena>());
 
   const auto store_stats_before =
       config_.store ? config_.store->stats() : store::StoreStats{};
@@ -159,7 +167,7 @@ FleetResult FleetScheduler::run() {
     if (engine && c.engine_shareable &&
         config.solver_strategy == core::StrategyType::Exhaustive)
       config.shared_engine = engine;
-    if (config_.reuse_arenas) config.pipeline.shared_arena = arenas[worker].get();
+    config.pipeline.shared_arena = arenas[worker].get();
     // Thread the recorder into the tenant pipeline: the mission loop's
     // capture/govern/fly spans and the pipeline's integrate/publish/plan/
     // smooth spans all land in the fleet trace under this worker's lane.

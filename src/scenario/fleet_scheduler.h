@@ -68,8 +68,6 @@ struct FleetConfig {
   DispatchMode mode = DispatchMode::Async;
   /// Pool one DecisionEngine (solver memo) across every tenant mission.
   bool share_engine = true;
-  /// Lend each worker a persistent PlannerArena reused across its missions.
-  bool reuse_arenas = true;
   /// Extra attempts granted to a case whose mission ends in an
   /// infrastructure failure (Crashed / AbortedWallDeadline). Retries are
   /// deterministic re-runs of the same seeded mission, so they only help
@@ -155,9 +153,14 @@ class FleetScheduler {
  public:
   FleetScheduler(runtime::MissionConfig base, FleetConfig config);
 
-  /// Expand and enqueue a scenario; false (nothing enqueued) on an unknown
-  /// family.
+  /// Expand and enqueue a scenario (admit(cases) over its expansion);
+  /// false (nothing enqueued) on an unknown family.
   bool admit(const ScenarioSpec& spec);
+  /// Enqueue already-expanded cases. Each distinct MissionCase::scenario in
+  /// the batch becomes a new metric shard, in order of first appearance; a
+  /// name an earlier admission already holds gets a deterministic "#N"
+  /// suffix instead of silently merging two unrelated workloads.
+  void admit(std::vector<MissionCase> cases);
   /// Admit a whole catalog; returns how many scenarios were accepted.
   std::size_t admitAll(const std::vector<ScenarioSpec>& specs);
 

@@ -327,7 +327,7 @@ void addStageLatency(Compositor& c, const DashboardTrace& trace) {
   if (trace.spans.empty()) return;
   // One histogram per stage, durations in ms — the same fixed log-bucket
   // ladder the metrics registry reports, so the dashboard's quantiles
-  // quantize exactly like `suite_runner --bench-json`'s.
+  // quantize exactly like `fleet_runner --bench-json`'s.
   std::map<Stage, obs::Histogram> hists;
   for (const SpanRecord& s : trace.spans)
     hists[s.stage].record(static_cast<double>(s.end_ns - s.start_ns) / 1e6);

@@ -2,7 +2,7 @@
 // produce a bitwise-identical MissionResult on every run — repeated in the
 // same thread, and when many missions execute concurrently on different
 // thread counts. This is the replayability contract every bench, the
-// offline_replay example, and the suite_runner JSON harness depend on.
+// offline_replay example, and the fleet_runner JSON harness depend on.
 
 #include <gtest/gtest.h>
 
@@ -362,7 +362,7 @@ TEST(DeterminismTest, IncrementalPlannerIndependentOfThreadCount) {
   }
 }
 
-// The suite_runner contract: a mission's result must not depend on how many
+// The batch-harness contract: a mission's result must not depend on how many
 // sibling missions run concurrently. Run the same (env seed, mission seed)
 // grid serially, then on 2 and 4 threads, and demand bitwise-equal results.
 TEST(DeterminismTest, IndependentOfThreadCount) {

@@ -80,7 +80,7 @@ MissionResult runSync(const env::Environment& environment, DesignType design,
 // grid at paper scale would take hours; the structure — density x spread x
 // goal distance cross product — is what matters for coverage).
 TEST(PipelineEquivalence, SyncMatchesFrozenLoopAcrossSuiteGrid) {
-  // Knob values borrowed from suite_runner's smoke/small grids (a spread
+  // Knob values borrowed from env/suite.h's smoke/small presets (a spread
   // needs a proportionally longer goal distance or the generator rejects
   // the spec as "clusters overlap").
   env::SuiteKnobs knobs;

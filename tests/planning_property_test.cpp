@@ -1,6 +1,6 @@
 // Path-validity property sweep for the pooled lattice planner, across the
-// same environment grid the suite_runner drives (env::evaluationSuite with
-// the shrunken "small" knobs). For every environment a planner-map window
+// same environment grid `fleet_runner --grid small` drives
+// (env::evaluationSuite with env::smallSuiteKnobs()). For every environment a planner-map window
 // is sampled from the ground-truth world, and every path the planner
 // returns must satisfy the invariants the rest of the stack assumes:
 //
@@ -69,11 +69,7 @@ LatticeKey keyOf(const Vec3& p, double cell) {
 }
 
 TEST(PlanningPropertyTest, PathInvariantsAcrossSuiteEnvGrid) {
-  // The suite_runner "small" grid knobs (tools/suite_runner.cpp buildSpecs).
-  env::SuiteKnobs knobs;
-  knobs.spreads = {25.0, 40.0, 55.0};
-  knobs.goal_distances = {250.0, 375.0, 500.0};
-  const std::vector<env::EnvSpec> specs = env::evaluationSuite(42, knobs);
+  const std::vector<env::EnvSpec> specs = env::evaluationSuite(42, env::smallSuiteKnobs());
   ASSERT_FALSE(specs.empty());
 
   std::size_t found_paths = 0;

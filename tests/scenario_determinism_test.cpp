@@ -8,7 +8,8 @@
 //    exact bit-pattern dump.
 //  * Fleet: FleetScheduler results must be bitwise identical for any
 //    --threads value, for sync vs async dispatch, and with the pooled
-//    engine/arena infrastructure on or off — the contract fleet_runner's
+//    engine on or off, and the evaluation grid's cases must fly exactly
+//    what a direct runMission flies — the contract fleet_runner's
 //    byte-identical --out JSON rests on.
 
 #include <gtest/gtest.h>
@@ -18,6 +19,9 @@
 #include <locale>
 #include <sstream>
 
+#include "env/env_gen.h"
+#include "env/suite.h"
+#include "obs/json.h"
 #include "runtime/designs.h"
 #include "scenario/catalog.h"
 #include "scenario/catalog_file.h"
@@ -44,12 +48,11 @@ std::vector<scenario::ScenarioSpec> tinyCatalog() {
 }
 
 scenario::FleetResult runFleet(unsigned threads, scenario::DispatchMode mode,
-                               bool share_engine = true, bool reuse_arenas = true) {
+                               bool share_engine = true) {
   scenario::FleetConfig config;
   config.threads = threads;
   config.mode = mode;
   config.share_engine = share_engine;
-  config.reuse_arenas = reuse_arenas;
   scenario::FleetScheduler scheduler(runtime::smokeMissionConfig(), config);
   EXPECT_EQ(scheduler.admitAll(tinyCatalog()), 2u);
   return scheduler.run();
@@ -264,12 +267,12 @@ TEST(CatalogFileTest, FormatRoundTripsAtFullPrecision) {
 TEST(FleetReportTest, NonFiniteMetricsRenderAsNull) {
   // JSON has no NaN/Inf; a poisoned metric must surface as null, never
   // masquerade as a measured 0.
-  EXPECT_EQ(scenario::jsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
-  EXPECT_EQ(scenario::jsonNumber(std::numeric_limits<double>::infinity()), "null");
-  EXPECT_EQ(scenario::jsonNumber(-std::numeric_limits<double>::infinity()), "null");
-  EXPECT_EQ(scenario::jsonNumber(1e301), "null");
-  EXPECT_EQ(scenario::jsonNumber(1.5), "1.500000");
-  EXPECT_EQ(scenario::jsonNumber(0.6851, 4), "0.6851");
+  EXPECT_EQ(obs::jsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(obs::jsonNumber(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::jsonNumber(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::jsonNumber(1e301), "null");
+  EXPECT_EQ(obs::jsonNumber(1.5), "1.500000");
+  EXPECT_EQ(obs::jsonNumber(0.6851, 4), "0.6851");
 }
 
 // --- fleet determinism ------------------------------------------------------
@@ -292,15 +295,62 @@ TEST(FleetSchedulerTest, SyncAndAsyncDispatchAgree) {
 }
 
 TEST(FleetSchedulerTest, PooledInfrastructureDoesNotChangeResults) {
-  const scenario::FleetResult pooled = runFleet(4, scenario::DispatchMode::Async, true, true);
+  const scenario::FleetResult pooled = runFleet(4, scenario::DispatchMode::Async, true);
   const scenario::FleetResult isolated =
-      runFleet(4, scenario::DispatchMode::Async, false, false);
+      runFleet(4, scenario::DispatchMode::Async, false);
   EXPECT_FALSE(isolated.engine_shared);
   EXPECT_TRUE(pooled.engine_shared);
   // The pooled engine actually served the fleet's governor decisions...
   EXPECT_GT(pooled.engine.decisions, 0u);
   // ...without changing a single mission bit.
   EXPECT_TRUE(scenario::fleetResultsIdentical(pooled, isolated));
+}
+
+TEST(FleetSchedulerTest, GridCasesMatchDirectRunMission) {
+  // The evaluation grid served as fleet cases must fly exactly the missions
+  // a direct runMission would — private engine and arena, env -> design ->
+  // seed order, mission seed base.seed + s — under either pipeline.
+  for (const runtime::ExecutionMode pipeline :
+       {runtime::ExecutionMode::Sync, runtime::ExecutionMode::Async}) {
+    runtime::MissionConfig base = runtime::smokeMissionConfig();
+    base.pipeline.execution = pipeline;
+    scenario::FleetConfig config;
+    config.threads = 2;
+    scenario::FleetScheduler scheduler(base, config);
+    scheduler.admit(scenario::gridCases(env::smokeSuiteKnobs(), 2, base));
+    const scenario::FleetResult fleet = scheduler.run();
+
+    const std::vector<env::EnvSpec> specs =
+        env::evaluationSuite(42, env::smokeSuiteKnobs());
+    ASSERT_EQ(specs.size(), 1u);
+    ASSERT_EQ(fleet.rows.size(), 4u);
+    std::size_t i = 0;
+    std::size_t reached[2] = {0, 0};
+    for (const runtime::DesignType design :
+         {runtime::DesignType::SpatialOblivious, runtime::DesignType::RoboRun}) {
+      for (std::uint64_t s = 0; s < 2; ++s, ++i) {
+        const scenario::MissionCase& c = fleet.cases[i];
+        EXPECT_EQ(c.env.seed, specs[0].seed);
+        EXPECT_EQ(c.design, design);
+        EXPECT_EQ(c.config.seed, base.seed + s);
+        runtime::MissionConfig direct = base;
+        direct.seed = base.seed + s;
+        const runtime::MissionResult expected =
+            runtime::runMission(env::generateEnvironment(specs[0]), design, direct);
+        EXPECT_TRUE(runtime::missionResultsIdentical(fleet.rows[i].result, expected))
+            << runtime::executionModeName(pipeline) << " case " << i;
+        reached[i / 2] += expected.reached_goal() ? 1 : 0;
+      }
+    }
+    // One shard per design, in design order.
+    ASSERT_EQ(fleet.shards.size(), 2u);
+    EXPECT_EQ(fleet.shards[0].scenario, "spatial_oblivious");
+    EXPECT_EQ(fleet.shards[1].scenario, "roborun");
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(fleet.shards[k].missions, 2u);
+      EXPECT_EQ(fleet.shards[k].reached, reached[k]);
+    }
+  }
 }
 
 TEST(FleetSchedulerTest, DuplicateScenarioNamesGetDistinctShards) {
@@ -335,8 +385,8 @@ TEST(FleetReportTest, EscapesUserControlledStrings) {
   EXPECT_NE(doc.find("catalog \\\"path\\\" with quotes"), std::string::npos);
   // No raw quote/control bytes survive inside any string literal.
   EXPECT_EQ(doc.find('\t'), std::string::npos);
-  EXPECT_EQ(scenario::jsonEscape("plain"), "plain");
-  EXPECT_EQ(scenario::jsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::jsonEscape("plain"), "plain");
+  EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(FleetSchedulerTest, ShardAggregatesAreConsistentWithRows) {

@@ -1,21 +1,24 @@
 // fleet_runner — the fleet-scale mission server CLI.
 //
-// Loads a scenario catalog (a catalog file, or the built-in demo catalog
-// covering every registered generator family), admits it into a
-// scenario::FleetScheduler, and serves the whole expansion across a worker
-// pool with the pooled DecisionEngine memo + per-worker PlannerArenas.
+// Loads a workload — a scenario catalog file, the built-in demo catalog
+// covering every registered generator family, or the paper's evaluation grid
+// (--grid) — admits it into a scenario::FleetScheduler, and serves every
+// case across a worker pool with the pooled DecisionEngine memo +
+// per-worker PlannerArenas.
 //
 // Output contract (see src/scenario/fleet_report.h):
 //   --out         deterministic result JSON — byte-identical for any
-//                 --threads value and either --mode on the same catalog
+//                 --threads value and either --mode on the same workload
 //   --bench-json  this run's measurements (missions/s, dispatch shape,
-//                 shared-engine memo hit-rate across tenants)
+//                 shared-engine memo hit-rate across tenants, stage wall
+//                 histograms, per-epoch staleness, per-case walls)
 //
 // Usage:
-//   fleet_runner [--catalog file] [--seed N] [--scale F] [--missions N]
+//   fleet_runner [--catalog file | --grid smoke|small|paper [--max-envs N]]
+//                [--seed N] [--scale F] [--missions N]
 //                [--threads N] [--mode sync|async] [--pipeline sync|async]
 //                [--config smoke|test|default]
-//                [--retries N] [--no-share-engine] [--no-reuse-arenas]
+//                [--retries N] [--no-share-engine]
 //                [--out results.json] [--bench-json perf.json]
 //                [--list-families] [--print-catalog] [--quiet]
 //
@@ -35,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "env/suite.h"
 #include "obs/span_recorder.h"
 #include "runtime/designs.h"
 #include "scenario/catalog.h"
@@ -49,16 +53,18 @@ using namespace roborun;
 
 struct Options {
   std::string catalog_path;  ///< empty = built-in demo catalog
+  std::string grid;          ///< evaluation-grid preset; empty = serve a catalog
+  env::SuiteKnobs grid_knobs;
+  std::size_t max_envs = 0;  ///< grid environments kept; 0 = all
   std::uint64_t seed = 1;    ///< built-in catalog base seed
   double scale = 0.5;        ///< built-in catalog geometric scale
-  std::size_t missions = 2;  ///< built-in catalog cases per scenario
+  std::size_t missions = 2;  ///< cases per built-in scenario / seeds per grid cell
   unsigned threads = std::thread::hardware_concurrency();
   scenario::DispatchMode mode = scenario::DispatchMode::Async;
   runtime::ExecutionMode pipeline = runtime::ExecutionMode::Sync;
   std::string config = "test";
   std::size_t retries = 1;
   bool share_engine = true;
-  bool reuse_arenas = true;
   std::string out_path;
   std::string bench_json_path;
   std::string trace_out_path;  ///< empty = span tracing off (zero overhead)
@@ -70,10 +76,11 @@ struct Options {
 };
 
 void usage(std::ostream& os) {
-  os << "usage: fleet_runner [--catalog file] [--seed N] [--scale F] [--missions N]\n"
+  os << "usage: fleet_runner [--catalog file | --grid smoke|small|paper [--max-envs N]]\n"
+        "                    [--seed N] [--scale F] [--missions N]\n"
         "                    [--threads N] [--mode sync|async] [--pipeline sync|async]\n"
         "                    [--config smoke|test|default] [--retries N]\n"
-        "                    [--no-share-engine] [--no-reuse-arenas]\n"
+        "                    [--no-share-engine]\n"
         "                    [--out results.json] [--bench-json perf.json]\n"
         "                    [--trace-out trace.json]\n"
         "                    [--store DIR] [--store-readonly]\n"
@@ -82,6 +89,12 @@ void usage(std::ostream& os) {
         "Without --catalog, serves the built-in demo catalog (one scenario per\n"
         "registered family; --seed/--scale/--missions shape it). The --out JSON\n"
         "is deterministic: byte-identical for any --threads and either --mode.\n"
+        "\n"
+        "--grid serves the paper's evaluation grid instead (env/suite.h: smoke is\n"
+        "one short cell, small the shrunken 27-env grid, paper Fig. 8a itself):\n"
+        "every env flown by spatial_oblivious then roborun, --missions seeds\n"
+        "each (0 expands the grid and runs nothing), one shard per design.\n"
+        "--max-envs keeps the first N grid environments.\n"
         "A case that crashes or trips the wall-clock watchdog gets --retries\n"
         "extra attempts (default 1) before landing in the report's failures\n"
         "array; the exit code is the failure count (capped at 100).\n"
@@ -158,7 +171,18 @@ bool parseArgs(int argc, char** argv, Options& opts) {
     } else if (arg == "--missions") {
       const char* v = next("--missions");
       if (v == nullptr || !parseCount("--missions", v, opts.missions, 10000)) return false;
-      if (opts.missions == 0) opts.missions = 1;
+    } else if (arg == "--grid") {
+      const char* v = next("--grid");
+      if (v == nullptr) return false;
+      if (!env::parseSuitePreset(v, opts.grid_knobs)) {
+        std::cerr << "fleet_runner: --grid must be smoke, small, or paper\n";
+        return false;
+      }
+      opts.grid = v;
+    } else if (arg == "--max-envs") {
+      const char* v = next("--max-envs");
+      if (v == nullptr || !parseCount("--max-envs", v, opts.max_envs, 10000))
+        return false;
     } else if (arg == "--threads") {
       const char* v = next("--threads");
       std::size_t threads = 0;
@@ -185,8 +209,6 @@ bool parseArgs(int argc, char** argv, Options& opts) {
       if (v == nullptr || !parseCount("--retries", v, opts.retries, 16)) return false;
     } else if (arg == "--no-share-engine") {
       opts.share_engine = false;
-    } else if (arg == "--no-reuse-arenas") {
-      opts.reuse_arenas = false;
     } else if (arg == "--out") {
       const char* v = next("--out");
       if (v == nullptr) return false;
@@ -224,6 +246,23 @@ bool parseArgs(int argc, char** argv, Options& opts) {
     std::cerr << "fleet_runner: --config must be smoke, test, or default\n";
     return false;
   }
+  if (!opts.grid.empty() && !opts.catalog_path.empty()) {
+    std::cerr << "fleet_runner: --grid and --catalog are mutually exclusive\n";
+    return false;
+  }
+  if (!opts.grid.empty() && opts.print_catalog) {
+    std::cerr << "fleet_runner: --print-catalog prints a catalog, not a --grid\n";
+    return false;
+  }
+  if (opts.grid.empty() && opts.max_envs > 0) {
+    std::cerr << "fleet_runner: --max-envs needs --grid\n";
+    return false;
+  }
+  if (opts.grid.empty() && opts.missions == 0) {
+    std::cerr << "fleet_runner: --missions 0 needs --grid (a grid dry-run)\n";
+    usage(std::cerr);
+    return false;
+  }
   if (opts.store_readonly && opts.store_dir.empty()) {
     std::cerr << "fleet_runner: --store-readonly requires --store DIR\n";
     return false;
@@ -250,7 +289,9 @@ int main(int argc, char** argv) {
 
   std::vector<scenario::ScenarioSpec> catalog;
   std::string catalog_label;
-  if (opts.catalog_path.empty()) {
+  if (!opts.grid.empty()) {
+    catalog_label = "grid:" + opts.grid;
+  } else if (opts.catalog_path.empty()) {
     catalog = scenario::builtinCatalog(opts.seed, opts.scale, opts.missions);
     catalog_label = "builtin";
   } else {
@@ -262,7 +303,7 @@ int main(int argc, char** argv) {
     catalog = parsed.scenarios;
     catalog_label = opts.catalog_path;
   }
-  if (catalog.empty()) {
+  if (opts.grid.empty() && catalog.empty()) {
     std::cerr << "fleet_runner: catalog is empty\n";
     return 2;
   }
@@ -276,12 +317,15 @@ int main(int argc, char** argv) {
                                     : (opts.config == "smoke" ? runtime::smokeMissionConfig()
                                                               : runtime::testMissionConfig());
   base.pipeline.execution = opts.pipeline;
+  // Every case copies the base config, so each tenant mission reports its
+  // epochs' staleness into this one registry (--bench-json's timing block).
+  obs::MetricsRegistry epochs;
+  scenario::observeEpochStaleness(base, epochs);
 
   scenario::FleetConfig fleet_config;
   fleet_config.threads = opts.threads;
   fleet_config.mode = opts.mode;
   fleet_config.share_engine = opts.share_engine;
-  fleet_config.reuse_arenas = opts.reuse_arenas;
   fleet_config.retry_limit = opts.retries;
 
   // The store key is the case's describeCases() bit pattern, which does not
@@ -308,17 +352,21 @@ int main(int argc, char** argv) {
   }
 
   scenario::FleetScheduler scheduler(base, fleet_config);
-  const std::size_t admitted = scheduler.admitAll(catalog);
-  if (admitted != catalog.size()) {
+  if (!opts.grid.empty()) {
+    scheduler.admit(
+        scenario::gridCases(opts.grid_knobs, opts.missions, base, opts.max_envs));
+  } else if (const std::size_t admitted = scheduler.admitAll(catalog);
+             admitted != catalog.size()) {
     std::cerr << "fleet_runner: only " << admitted << "/" << catalog.size()
               << " scenarios admitted\n";
     return 2;
   }
 
   if (!opts.quiet) {
-    std::cerr << "fleet_runner: " << scheduler.cases().size() << " missions from "
-              << admitted << " scenarios (" << catalog_label << ") on " << opts.threads
-              << " thread(s), " << scenario::dispatchModeName(opts.mode) << " dispatch, "
+    std::cerr << "fleet_runner: " << scheduler.cases().size() << " missions in "
+              << scheduler.scenarios().size() << " shards (" << catalog_label << ") on "
+              << opts.threads << " thread(s), " << scenario::dispatchModeName(opts.mode)
+              << " dispatch, "
               << runtime::executionModeName(opts.pipeline) << " pipeline\n";
   }
 
@@ -388,7 +436,7 @@ int main(int argc, char** argv) {
       std::cerr << "fleet_runner: cannot open " << opts.bench_json_path << "\n";
       return 1;
     }
-    scenario::writeFleetBenchJson(bench, result, catalog_label);
+    scenario::writeFleetBenchJson(bench, result, catalog_label, epochs.snapshot());
     if (!opts.quiet) std::cerr << "fleet_runner: wrote " << opts.bench_json_path << "\n";
   }
   if (recorder) {
