@@ -184,13 +184,12 @@ std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
   return hash;
 }
 
-/// Digest of one async mission: its stored-result payload (every
-/// deterministic field, doubles as exact bit patterns) followed by the
-/// per-epoch staleness sequence the decision observer reported.
-std::uint64_t asyncMissionDigest(const env::Environment& environment,
-                                 runtime::DesignType design,
-                                 runtime::MissionConfig config) {
-  config.pipeline.execution = runtime::ExecutionMode::Async;
+/// Digest of one mission under `config`'s execution mode: its stored-result
+/// payload (every deterministic field, doubles as exact bit patterns)
+/// followed by the per-epoch staleness sequence the decision observer
+/// reported.
+std::uint64_t missionDigest(const env::Environment& environment, runtime::DesignType design,
+                            runtime::MissionConfig config) {
   std::vector<std::size_t> staleness;
   config.decision_observer = [&staleness](std::size_t, std::size_t s) {
     staleness.push_back(s);
@@ -206,6 +205,14 @@ std::uint64_t asyncMissionDigest(const env::Environment& environment,
     hash = fnv1a64(std::string_view(bytes, sizeof bytes), hash);
   }
   return hash;
+}
+
+/// missionDigest() of the async run.
+std::uint64_t asyncMissionDigest(const env::Environment& environment,
+                                 runtime::DesignType design,
+                                 runtime::MissionConfig config) {
+  config.pipeline.execution = runtime::ExecutionMode::Async;
+  return missionDigest(environment, design, config);
 }
 
 // Cross-commit pin for the pipelined loop. The repeat tests above only
@@ -253,6 +260,49 @@ TEST(DeterminismTest, AsyncGoldenDigests) {
   };
   for (const Case& c : cases) {
     const std::uint64_t digest = asyncMissionDigest(environment, c.design, c.config);
+    EXPECT_EQ(digest, c.digest) << c.name << ": got 0x" << std::hex << digest;
+  }
+}
+
+// Cross-commit pin at paper fidelity. Every other mission pin here runs
+// smokeMissionConfig(), whose sweeps of 288 rays stay below the octomap
+// kernel's parallel classification grain (512 kept rays); the paper's
+// 1680-ray sweeps cross it, so these digests pin the forked integrate path
+// for both designs under both execution modes. One paper-scale world, capped
+// at 60 s simulated so the pin fits the tier1 gate. Recorded like the async
+// digests above (GCC 12.2, x86-64, Release, no -march).
+TEST(DeterminismTest, PaperFidelityGoldenDigests) {
+  env::EnvSpec spec;
+  spec.seed = 3;
+  const env::Environment environment = env::generateEnvironment(spec);
+  runtime::MissionConfig paper = runtime::defaultMissionConfig();
+  paper.max_mission_time = 60.0;
+  paper.pipeline.planner_mode = runtime::PlannerMode::AStarIncremental;
+  auto mode = [&paper](runtime::ExecutionMode execution) {
+    runtime::MissionConfig config = paper;
+    config.pipeline.execution = execution;
+    return config;
+  };
+  struct Case {
+    const char* name;
+    runtime::DesignType design;
+    runtime::ExecutionMode execution;
+    std::uint64_t digest;
+  };
+  using runtime::DesignType;
+  using runtime::ExecutionMode;
+  const Case cases[] = {
+      {"roborun_sync", DesignType::RoboRun, ExecutionMode::Sync,
+       0xec97d8932489c9fbULL},
+      {"roborun_async", DesignType::RoboRun, ExecutionMode::Async,
+       0x9a9403d3cf123f01ULL},
+      {"oblivious_sync", DesignType::SpatialOblivious, ExecutionMode::Sync,
+       0x6395e6d36ee9b441ULL},
+      {"oblivious_async", DesignType::SpatialOblivious, ExecutionMode::Async,
+       0x4afc18e7865e07beULL},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t digest = missionDigest(environment, c.design, mode(c.execution));
     EXPECT_EQ(digest, c.digest) << c.name << ": got 0x" << std::hex << digest;
   }
 }
