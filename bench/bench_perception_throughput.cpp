@@ -19,6 +19,14 @@
 // resulting maps. All four trees must answer identically — the bench exits
 // nonzero if they diverge, so a perf number can never come from a wrong map.
 //
+// A second, steady-state pass re-inserts the same frames, as sensor sweeps
+// of at least 512 rays, into the map the first pass built: once through
+// the shipped kernel (insertPointCloud, which classifies each ray's live
+// window on the fork-join pool and walks only that), once through the
+// serial kernel it replaced (tests/reference_sweep.h). Fresh space is the
+// settled-span mechanism's worst case; this pass is its common case. The
+// two maps must be identical, or the bench exits nonzero.
+//
 // Usage:
 //   bench_perception_throughput [--smoke] [--json <path>]
 //
@@ -36,8 +44,11 @@
 
 #include "geom/rng.h"
 #include "obs/json.h"
+#include "perception/fork_join.h"
+#include "perception/octomap_kernel.h"
 #include "perception/octree.h"
 #include "reference_octree.h"
+#include "reference_sweep.h"
 
 namespace {
 
@@ -52,6 +63,8 @@ struct Ray {
   Vec3 origin;
   Vec3 end;
   bool hit;
+  Vec3 dir;
+  double len;
 };
 
 struct Workload {
@@ -66,8 +79,10 @@ struct Workload {
 
 Workload buildWorkload(bool smoke) {
   Workload w;
-  w.frames = smoke ? 8 : 64;
-  w.rays_per_frame = smoke ? 150 : 600;
+  // Frames of at least 512 rays, so the steady-state pass's sweeps cross the
+  // kernel's fork grain in both modes.
+  w.frames = smoke ? 4 : 64;
+  w.rays_per_frame = smoke ? 512 : 600;
   geom::Rng rng(0xB0B0CAFEu);
   w.rays.reserve(w.frames * w.rays_per_frame);
   for (std::size_t f = 0; f < w.frames; ++f) {
@@ -86,10 +101,53 @@ Workload buildWorkload(bool smoke) {
       }
       const bool hit = rng.chance(0.45);
       const double len = hit ? rng.uniform(2.0, 25.0) : 30.0;
-      w.rays.push_back({origin, origin + dir * len, hit});
+      w.rays.push_back({origin, origin + dir * len, hit, dir, len});
     }
   }
   return w;
+}
+
+/// The workload's frames as sensor sweeps (hits become points, misses free
+/// rays of their full range), and the sensor path as their trajectory.
+std::vector<perception::PointCloud> frameClouds(const Workload& w, std::vector<Vec3>& path) {
+  std::vector<perception::PointCloud> clouds(w.frames);
+  for (std::size_t f = 0; f < w.frames; ++f) {
+    perception::PointCloud& cloud = clouds[f];
+    for (std::size_t r = 0; r < w.rays_per_frame; ++r) {
+      const Ray& ray = w.rays[f * w.rays_per_frame + r];
+      cloud.origin = ray.origin;
+      if (ray.hit) {
+        cloud.points.push_back(ray.end);
+      } else {
+        cloud.free_rays.push_back({ray.dir, ray.len});
+      }
+    }
+    cloud.max_range = 30.0;
+    cloud.source_rays = w.rays_per_frame;
+    path.push_back(cloud.origin);
+  }
+  return clouds;
+}
+
+/// Observable differences between two pooled maps: stats, live nodes, the
+/// occupied collection at every level, and point queries.
+std::size_t treeMismatches(const OccupancyOctree& a, const OccupancyOctree& b,
+                           const geom::Aabb& extent) {
+  std::size_t mismatches = 0;
+  const auto& sa = a.stats();
+  const auto& sb = b.stats();
+  if (sa.occupied_leaves != sb.occupied_leaves || sa.free_leaves != sb.free_leaves ||
+      sa.inner_nodes != sb.inner_nodes || sa.occupied_volume != sb.occupied_volume ||
+      sa.free_volume != sb.free_volume || a.liveNodeCount() != b.liveNodeCount())
+    ++mismatches;
+  for (int level = 0; level <= a.maxDepth(); ++level)
+    if (a.collectOccupied(level).size() != b.collectOccupied(level).size()) ++mismatches;
+  geom::Rng probe(515151);
+  for (int i = 0; i < 20000; ++i) {
+    const Vec3 p = probe.uniformInBox(extent.lo, extent.hi);
+    if (a.query(p) != b.query(p)) ++mismatches;
+  }
+  return mismatches;
 }
 
 /// March one ray the way the seed kernel did, calling `freeCell` per free
@@ -281,6 +339,31 @@ int main(int argc, char** argv) {
         rs.inner_nodes != s->inner_nodes)
       ++mismatches;
   }
+
+  // Steady state: every frame again, into copies of the first pass's map.
+  std::vector<Vec3> path;
+  const std::vector<perception::PointCloud> clouds = frameClouds(w, path);
+  perception::OctomapInsertParams params;
+  params.precision = w.voxel_min;  // free level 2 under the default 1.2 m floor
+  params.volume_budget = 1e12;     // keep every ray
+  OccupancyOctree steady_serial_tree = ray_walk_tree;
+  OccupancyOctree steady_kernel_tree = ray_walk_tree;
+  double steady_serial_s = 1e100, steady_kernel_s = 1e100;
+  for (int rep = 0; rep < reps; ++rep) {
+    steady_serial_tree = ray_walk_tree;
+    steady_serial_s = std::min(steady_serial_s, timeIt([&] {
+      for (const auto& cloud : clouds)
+        perception::reference::insertSweep(steady_serial_tree, cloud, params, path);
+    }));
+    steady_kernel_tree = ray_walk_tree;
+    steady_kernel_s = std::min(steady_kernel_s, timeIt([&] {
+      for (const auto& cloud : clouds)
+        perception::insertPointCloud(steady_kernel_tree, cloud, params, path);
+    }));
+  }
+  mismatches += treeMismatches(steady_kernel_tree, steady_serial_tree, extent);
+  const double speedup_steady = steady_kernel_s > 0.0 ? steady_serial_s / steady_kernel_s : 0.0;
+
   if (mismatches != 0) {
     std::cerr << "bench_perception_throughput: TREES DIVERGED (" << mismatches
               << " mismatches) — numbers below are invalid\n";
@@ -305,7 +388,11 @@ int main(int argc, char** argv) {
             << " M upd/s  (" << jsonNumber(speedup_batched, 2) << "x)\n"
             << "  pooled_ray_walk:    " << jsonNumber(ray_walk.updates_per_sec / 1e6, 2)
             << " M upd/s  (" << jsonNumber(speedup_ray_walk, 2) << "x)\n"
-            << "  collectOccupied:    " << jsonNumber(speedup_collect, 2) << "x\n";
+            << "  collectOccupied:    " << jsonNumber(speedup_collect, 2) << "x\n"
+            << "  steady state:       serial " << jsonNumber(steady_serial_s * 1e3, 1)
+            << " ms, kernel " << jsonNumber(steady_kernel_s * 1e3, 1) << " ms ("
+            << jsonNumber(speedup_steady, 2) << "x, " << perception::forkJoinHelpers()
+            << " fork-join helpers)\n";
 
   std::ostringstream json;
   json << "{\n";
@@ -326,6 +413,10 @@ int main(int argc, char** argv) {
        << ", \"pooled_batched\": " << jsonNumber(speedup_batched, 3)
        << ", \"pooled_ray_walk\": " << jsonNumber(speedup_ray_walk, 3)
        << ", \"collect_occupied\": " << jsonNumber(speedup_collect, 3) << "},\n";
+  json << "  \"steady_state\": {\"serial_seconds\": " << jsonNumber(steady_serial_s)
+       << ", \"kernel_seconds\": " << jsonNumber(steady_kernel_s)
+       << ", \"speedup\": " << jsonNumber(speedup_steady, 3)
+       << ", \"fork_join_helpers\": " << perception::forkJoinHelpers() << "},\n";
   json << "  \"trees_agree\": " << (mismatches == 0 ? "true" : "false") << "\n";
   json << "}\n";
 

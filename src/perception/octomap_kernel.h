@@ -7,6 +7,11 @@
 // until the ingested volume exceeds the budget; the rest of the sweep is
 // dropped. Work units (ray-march steps, deduplicated by the voxel count the
 // swept region can contain) feed the latency model.
+//
+// A sweep of at least 512 rays computes its threat keys, and each kept
+// ray's live window (OccupancyOctree::liveSpan), on the fork-join pool
+// (fork_join.h); the tree writes stay one serial walk in threat order, so
+// the tree and the report are those of the serial kernel, bit for bit.
 #pragma once
 
 #include <span>

@@ -223,26 +223,35 @@ struct OccupancyOctree::RayCursor {
   Aabb root;
   Vec3 origin, dir;
   double step, length, t;
-  Vec3 p;  ///< the current sample
+  SampleWindow window;
+  std::size_t k = 0;  ///< sample index of t
+  Vec3 p;             ///< the current sample
 
-  RayCursor(const OccupancyOctree& tree, const Vec3& o, const Vec3& d, double s, double len)
+  RayCursor(const OccupancyOctree& tree, const Vec3& o, const Vec3& d, double s, double len,
+            SampleWindow w)
       : q(tree.ladder_q_.data()), root(tree.root_box_), origin(o), dir(d), step(s), length(len),
-        t(s * 0.5) {
+        t(s * 0.5), window(w) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const Vec3 c = root.center();
     rung[0] = {c.x, c.y, c.z, -kInf, -kInf, -kInf, kInf, kInf, kInf};
   }
 
+  /// Step to the next in-window sample inside the root box. Samples before
+  /// the window still advance t, so every sample keeps its full-march t.
   bool next() {
-    for (; t < length; t += step) {
+    for (; t < length && k <= window.last; t += step, ++k) {
+      if (k < window.first) continue;
       p = origin + dir * t;
       if (root.contains(p)) {
         t += step;
+        ++k;
         return true;
       }
     }
     return false;
   }
+  /// Sample index of the current sample.
+  std::size_t sample() const { return k - 1; }
   /// Climb from the tip to the deepest box that holds the sample.
   int restart(int tip) const {
     for (;; --tip) {
@@ -372,13 +381,47 @@ void OccupancyOctree::updateCells(std::span<const std::uint64_t> keys, int level
 }
 
 void OccupancyOctree::updateRay(const Vec3& origin, const Vec3& dir, double step, double length,
-                                int level, Occupancy state) {
+                                int level, Occupancy state, SampleWindow window) {
   // A step that is not positive (or NaN) would never advance t.
-  if (state == Occupancy::Unknown || !(step > 0.0)) return;
+  if (state == Occupancy::Unknown || !(step > 0.0) || window.empty()) return;
   const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
   stats_dirty_ = true;
-  RayCursor cursor(*this, origin, dir, step, length);
+  RayCursor cursor(*this, origin, dir, step, length, window);
   walk(cursor, depth, state);
+}
+
+SampleWindow OccupancyOctree::liveSpan(const Vec3& origin, const Vec3& dir, double step,
+                                       double length, int level) const {
+  SampleWindow live{std::numeric_limits<std::size_t>::max(), 0};  // empty
+  if (!(step > 0.0)) return live;
+  const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
+  // walk()'s descent without the writes: stop at a leaf or at the target
+  // depth, and classify the node reached.
+  RayCursor cursor(*this, origin, dir, step, length, SampleWindow{});
+  std::array<std::uint32_t, kMaxKeyDepth + 1> path;
+  path[0] = kRootIndex;
+  int tip = 0;
+  bool first = true;
+  bool settled = true;
+  while (cursor.next()) {
+    // A sample whose restart is the tip lies in the node the previous
+    // sample classified.
+    const int common = first ? 0 : cursor.restart(tip);
+    if (first || common != tip) {
+      int d = common;
+      for (; d < depth && !pool_[path[d]].isLeaf(); ++d)
+        path[d + 1] = pool_[path[d]].first_child + static_cast<std::uint32_t>(cursor.child(d));
+      tip = d;
+      const Node& node = pool_[path[d]];
+      settled = node.isLeaf() ? node.state != Occupancy::Unknown : node.has_occupied != 0;
+      first = false;
+    }
+    if (!settled) {
+      live.first = std::min(live.first, cursor.sample());
+      live.last = cursor.sample();
+    }
+  }
+  return live;
 }
 
 Occupancy OccupancyOctree::query(const Vec3& p) const {

@@ -24,12 +24,17 @@
 // keys instead of re-descending from the root per cell. A ray march skips
 // the keys altogether: updateRay() walks the tree along the ray, re-running
 // cellKey()'s comparisons only below the deepest ancestor whose cell still
-// holds the next sample, through the same walk.
+// holds the next sample, through the same walk. liveSpan() is the read-only
+// twin of that walk: it names the sample window of a free-space march that
+// can still change the tree, so a sweep can classify its rays concurrently
+// and walk only those windows.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -53,6 +58,16 @@ struct VoxelBox {
     return {center - h, center + h};
   }
   double volume() const { return size * size * size; }
+};
+
+/// An inclusive window [first, last] of a ray march's sample indices: index
+/// k is the k-th step of the march from t = step/2 (t advanced by repeated
+/// t += step), counting samples outside the root box too. The default
+/// window holds every sample; first > last is the empty window.
+struct SampleWindow {
+  std::size_t first = 0;
+  std::size_t last = std::numeric_limits<std::size_t>::max();
+  bool empty() const { return first > last; }
 };
 
 class OccupancyOctree {
@@ -109,9 +124,25 @@ class OccupancyOctree {
   /// to the deepest ancestor cell that still holds the next sample, and
   /// re-runs the comparisons only below it. A sample that stays in the
   /// current cell (or in the same-state leaf the walk stopped at) costs one
-  /// box test. A `step` that is not positive marks nothing.
+  /// box test. A `step` that is not positive marks nothing. Only samples
+  /// inside `window` are applied; the march still steps t from step/2, so a
+  /// windowed sample sits at exactly the t the full march gives it.
   void updateRay(const Vec3& origin, const Vec3& dir, double step, double length, int level,
-                 Occupancy state);
+                 Occupancy state, SampleWindow window = {});
+
+  /// The window of a Free updateRay() march (same arguments) that can still
+  /// change the tree: its first and last sample whose level-`level` cell is
+  /// not *settled*. A cell is settled when it lies inside a known (Free or
+  /// Occupied) leaf or its node holds occupancy. A free write to a settled
+  /// cell leaves the tree's shape as it was, and within a sweep a settled
+  /// cell stays settled (free writes only add Free; occupancy is sticky).
+  /// So marching only these windows, classified against the tree as the
+  /// sweep found it, ends in the same tree: the same stats(),
+  /// collectOccupied() and liveNodeCount(); only poolSize() may be smaller.
+  /// Empty when no sample can change anything. Read-only (no cache is
+  /// touched), so concurrent calls on a tree nobody writes are safe.
+  SampleWindow liveSpan(const Vec3& origin, const Vec3& dir, double step, double length,
+                        int level) const;
 
   /// Occupancy of the finest known cell containing p (Unknown outside).
   Occupancy query(const Vec3& p) const;

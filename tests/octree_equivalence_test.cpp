@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "geom/rng.h"
@@ -21,6 +23,7 @@
 #include "perception/octree.h"
 #include "perception/point_cloud.h"
 #include "reference_octree.h"
+#include "reference_sweep.h"
 
 namespace roborun::perception {
 namespace {
@@ -480,6 +483,171 @@ TEST_P(OctreeEquivalence, InsertPointCloudMatchesReference) {
 
   Rng probe(GetParam() + 9);
   expectEquivalent(pooled, ref, probe, pooled.maxDepth());
+}
+
+// --- Settled-span sweep integration -----------------------------------------
+//
+// insertPointCloud classifies each kept ray's live window (liveSpan) on the
+// fork-join pool once a sweep keeps kForkGrain = 512 rays, then walks only
+// those windows. These cases hold it to the serial kernel
+// (reference_sweep.h): every sample of every kept ray, in threat order.
+
+constexpr double kSweepHalf = 19.2;  // 128^3 fine voxels: room for 15 m rays
+
+/// A sensor sweep from `origin`: 60% hits 2-14 m out, the rest free rays of
+/// 15 m, all counted as source rays.
+PointCloud randomSweep(Rng& rng, const Vec3& origin, int rays) {
+  PointCloud cloud;
+  cloud.origin = origin;
+  cloud.max_range = 15.0;
+  for (int i = 0; i < rays; ++i) {
+    const Vec3 dir = randomDirection(rng);
+    if (rng.chance(0.6)) {
+      cloud.points.push_back(origin + dir * rng.uniform(2.0, 14.0));
+    } else {
+      cloud.free_rays.push_back({dir, 15.0});
+    }
+  }
+  cloud.source_rays = static_cast<std::size_t>(rays);
+  return cloud;
+}
+
+/// The volume the kernel charges for integrating every ray of `cloud`.
+double sweepVolume(const PointCloud& cloud) {
+  const double share = 4.0 * std::numbers::pi / (3.0 * static_cast<double>(cloud.source_rays));
+  double volume = 0.0;
+  for (const auto& p : cloud.points) volume += share * std::pow(p.dist(cloud.origin), 3);
+  for (const auto& fr : cloud.free_rays) volume += share * std::pow(fr.range, 3);
+  return volume;
+}
+
+void expectSameReport(const OctomapInsertReport& a, const OctomapInsertReport& b) {
+  EXPECT_EQ(a.ray_steps, b.ray_steps);
+  EXPECT_EQ(a.rays_integrated, b.rays_integrated);
+  EXPECT_EQ(a.rays_dropped, b.rays_dropped);
+  EXPECT_EQ(a.points_inserted, b.points_inserted);
+  EXPECT_EQ(a.volume_ingested, b.volume_ingested);
+  EXPECT_EQ(a.touched.lo.x, b.touched.lo.x);
+  EXPECT_EQ(a.touched.lo.y, b.touched.lo.y);
+  EXPECT_EQ(a.touched.lo.z, b.touched.lo.z);
+  EXPECT_EQ(a.touched.hi.x, b.touched.hi.x);
+  EXPECT_EQ(a.touched.hi.y, b.touched.hi.y);
+  EXPECT_EQ(a.touched.hi.z, b.touched.hi.z);
+}
+
+/// expectSameTree plus query() and queryAtLevel() at every level over a grid
+/// offset from the cell boundaries.
+void expectSameAnswers(const OccupancyOctree& a, const OccupancyOctree& b) {
+  expectSameTree(a, b);
+  const Aabb box = a.rootBox();
+  std::size_t mismatches = 0;
+  for (double x = box.lo.x + 0.37; x < box.hi.x; x += 1.7)
+    for (double y = box.lo.y + 0.41; y < box.hi.y; y += 1.7)
+      for (double z = box.lo.z + 0.43; z < box.hi.z; z += 1.7) {
+        const Vec3 p{x, y, z};
+        if (a.query(p) != b.query(p)) ++mismatches;
+        for (int level = 0; level <= a.maxDepth(); ++level)
+          if (a.queryAtLevel(p, level) != b.queryAtLevel(p, level)) ++mismatches;
+      }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// A flight path through the sweep region: the threat keys' trajectory.
+const std::vector<Vec3> kFlightPath = {
+    {-12.0, -2.0, 0.0}, {-4.0, 1.0, 1.0}, {4.0, -1.0, 0.0}, {12.0, 2.0, 1.0}};
+
+// Sweeps of 640 rays into a tree grown by earlier sweeps, against the serial
+// kernel: at precision 0.3 (occupied level 0, free level 2), at 4.8
+// (occupied level 4, coarser than free level 3), and switching precision
+// every sweep as the governor does (so a sweep meets free cells another
+// level wrote). After three pre-populating sweeps under an unlimited
+// budget, the budget keeps about 90% of each sweep's volume, and every
+// third sweep is immediately re-inserted.
+TEST_P(OctreeEquivalence, SettledSpanInsertMatchesSerialWalk) {
+  const std::vector<std::vector<double>> schedules = {{0.3}, {4.8}, {0.3, 4.8, 0.6, 2.4}};
+  for (const auto& precisions : schedules) {
+    SCOPED_TRACE(precisions.front());
+    OccupancyOctree kernel(worldBox(kSweepHalf), kVoxMin);
+    OccupancyOctree serial(worldBox(kSweepHalf), kVoxMin);
+    Rng rng(GetParam() * 31 + 5);
+    OctomapInsertParams params;
+    for (int sweep = 0; sweep < 8; ++sweep) {
+      const PointCloud cloud =
+          randomSweep(rng, rng.uniformInBox({-10.0, -3.0, -1.0}, {10.0, 3.0, 2.0}), 640);
+      params.precision = precisions[static_cast<std::size_t>(sweep) % precisions.size()];
+      params.volume_budget = sweep < 3 ? 1e12 : 0.9 * sweepVolume(cloud);
+      for (int pass = 0; pass < (sweep % 3 == 2 ? 2 : 1); ++pass) {
+        const auto got = insertPointCloud(kernel, cloud, params, kFlightPath);
+        const auto want = reference::insertSweep(serial, cloud, params, kFlightPath);
+        ASSERT_GE(got.rays_integrated, 512u) << "sweep " << sweep << " stays below the grain";
+        expectSameReport(got, want);
+        expectSameAnswers(kernel, serial);
+      }
+    }
+  }
+}
+
+// Once a sweep is integrated, every cell its marches target is settled: no
+// ray of it has a live window, and inserting it again changes nothing.
+TEST_P(OctreeEquivalence, SettledSpanReinsertIsInert) {
+  OccupancyOctree tree(worldBox(kSweepHalf), kVoxMin);
+  Rng rng(GetParam() * 17 + 3);
+  OctomapInsertParams params;
+  params.volume_budget = 1e12;
+  for (int sweep = 0; sweep < 2; ++sweep)
+    insertPointCloud(tree, randomSweep(rng, rng.uniformInBox({-8.0, -3.0, -1.0}, {8.0, 3.0, 2.0}), 600),
+                     params, kFlightPath);
+  const PointCloud cloud = randomSweep(rng, {1.0, 0.5, 0.5}, 600);
+  insertPointCloud(tree, cloud, params, kFlightPath);
+
+  const double precision = tree.snapPrecision(params.precision);
+  const int free_level = tree.levelForPrecision(std::clamp(
+      precision, params.free_resolution_floor, params.free_resolution_ceiling));
+  const double cell = tree.cellSizeAtLevel(free_level);
+  std::size_t live = 0;
+  for (const auto& r : reference::threatOrder(cloud, kFlightPath)) {
+    const Vec3 d = r.end - cloud.origin;
+    const double len = d.norm();
+    const double free_len = r.hit ? std::max(0.0, len - cell) : len;
+    if (!tree.liveSpan(cloud.origin, d / len, cell, free_len, free_level).empty()) ++live;
+  }
+  EXPECT_EQ(live, 0u);
+
+  const OccupancyOctree before = tree;
+  insertPointCloud(tree, cloud, params, kFlightPath);
+  expectSameAnswers(tree, before);
+}
+
+// Ray by ray: the march restricted to its liveSpan() window, and the march
+// over an explicit [0, inf) window, both equal the plain updateRay. Rays
+// reach past the root box, and hit endpoints interleave occupied writes.
+TEST_P(OctreeEquivalence, WindowedRayMatchesFullMarch) {
+  OccupancyOctree full(worldBox(), kVoxMin);
+  OccupancyOctree explicit_full(worldBox(), kVoxMin);
+  OccupancyOctree windowed(worldBox(), kVoxMin);
+  Rng rng(GetParam() * 13 + 11);
+  const SampleWindow everything{0, std::numeric_limits<std::size_t>::max()};
+  for (int frame = 0; frame < 12; ++frame) {
+    const Vec3 origin = rng.uniformInBox({-3.0, -3.0, -3.0}, {3.0, 3.0, 3.0});
+    const int occ_level = rng.uniformInt(0, 2);
+    const int free_level = rng.uniformInt(0, 3);
+    const double cell = full.cellSizeAtLevel(free_level);
+    for (int ray = 0; ray < 60; ++ray) {
+      const Vec3 dir = randomDirection(rng);
+      const double len = rng.uniform(0.5, 9.0);
+      full.updateRay(origin, dir, cell, len, free_level, Occupancy::Free);
+      explicit_full.updateRay(origin, dir, cell, len, free_level, Occupancy::Free, everything);
+      windowed.updateRay(origin, dir, cell, len, free_level, Occupancy::Free,
+                         windowed.liveSpan(origin, dir, cell, len, free_level));
+      if (rng.chance(0.5)) {
+        const Vec3 end = origin + dir * len;
+        for (OccupancyOctree* tree : {&full, &explicit_full, &windowed})
+          tree->updateCell(end, occ_level, Occupancy::Occupied);
+      }
+    }
+    expectSameAnswers(explicit_full, full);
+    expectSameAnswers(windowed, full);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OctreeEquivalence,

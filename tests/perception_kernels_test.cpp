@@ -3,16 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numbers>
+#include <thread>
 #include <vector>
 
 #include "env/world.h"
 #include "geom/rng.h"
+#include "perception/fork_join.h"
 #include "perception/map_bridge.h"
 #include "perception/octomap_kernel.h"
 #include "perception/planner_map.h"
 #include "perception/point_cloud.h"
+#include "reference_sweep.h"
 #include "sim/sensor.h"
 
 namespace roborun::perception {
@@ -160,6 +164,61 @@ TEST(OctomapKernelTest, VolumeAccountingSumsToSensingSphere) {
   const auto report = insertPointCloud(tree, pc, params, {});
   const double sphere = 4.0 / 3.0 * std::numbers::pi * 1000.0;
   EXPECT_NEAR(report.volume_ingested, sphere, sphere * 0.01);
+}
+
+// A sweep that keeps 512 rays or more classifies its rays' live windows on
+// the fork-join pool and walks only those; the tree and the report must be
+// the serial kernel's, on fresh space and on an immediate re-sweep.
+TEST(OctomapKernelTest, ForkedSweepMatchesSerialKernel) {
+  auto forked = makeTree();
+  auto serial = makeTree();
+  geom::Rng rng(2024);
+  PointCloud pc;
+  pc.origin = {1.0, -2.0, 3.0};
+  pc.max_range = 20;
+  pc.source_rays = 900;
+  for (std::size_t i = 0; i < pc.source_rays; ++i) {
+    Vec3 dir = rng.uniformInBox({-1, -1, -1}, {1, 1, 1});
+    dir = dir / std::max(dir.norm(), 1e-3);
+    if (rng.chance(0.5)) {
+      pc.points.push_back(pc.origin + dir * rng.uniform(3.0, 18.0));
+    } else {
+      pc.free_rays.push_back({dir, 20.0});
+    }
+  }
+  const std::vector<Vec3> traj{{0, 0, 3}, {10, 2, 3}, {20, -1, 3}};
+  OctomapInsertParams params;
+  params.volume_budget = 1e9;
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto got = insertPointCloud(forked, pc, params, traj);
+    const auto want = reference::insertSweep(serial, pc, params, traj);
+    EXPECT_EQ(got.rays_integrated, pc.source_rays);
+    EXPECT_EQ(got.ray_steps, want.ray_steps);
+    EXPECT_EQ(got.volume_ingested, want.volume_ingested);
+    const auto& a = forked.stats();
+    const auto& b = serial.stats();
+    EXPECT_EQ(a.occupied_leaves, b.occupied_leaves);
+    EXPECT_EQ(a.free_leaves, b.free_leaves);
+    EXPECT_EQ(a.inner_nodes, b.inner_nodes);
+    EXPECT_EQ(a.free_volume, b.free_volume);
+    EXPECT_EQ(forked.liveNodeCount(), serial.liveNodeCount());
+    EXPECT_EQ(forked.collectOccupied(0).size(), serial.collectOccupied(0).size());
+  }
+}
+
+// Every index runs exactly once, and callers on several threads at once
+// (sharing the pool's helpers) all return.
+TEST(ForkJoinTest, RunsEveryIndexOnceForConcurrentCallers) {
+  constexpr std::size_t kTasks = 300;
+  std::vector<std::atomic<int>> runs(4 * kTasks);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 4; ++c)
+    callers.emplace_back([&runs, c] {
+      for (int round = 0; round < 20; ++round)
+        forkJoin(kTasks, [&runs, c](std::size_t i) { ++runs[c * kTasks + i]; });
+    });
+  for (std::thread& t : callers) t.join();
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 20);
 }
 
 TEST(OctomapKernelTest, EmptyCloudIsNoop) {
