@@ -346,8 +346,8 @@ int main(int argc, char** argv) {
   perception::OctomapInsertParams params;
   params.precision = w.voxel_min;  // free level 2 under the default 1.2 m floor
   params.volume_budget = 1e12;     // keep every ray
-  OccupancyOctree steady_serial_tree = ray_walk_tree;
-  OccupancyOctree steady_kernel_tree = ray_walk_tree;
+  OccupancyOctree steady_serial_tree(extent, w.voxel_min);
+  OccupancyOctree steady_kernel_tree(extent, w.voxel_min);
   double steady_serial_s = 1e100, steady_kernel_s = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     steady_serial_tree = ray_walk_tree;
