@@ -594,9 +594,10 @@ TEST_P(OctreeEquivalence, SettledSpanReinsertIsInert) {
   Rng rng(GetParam() * 17 + 3);
   OctomapInsertParams params;
   params.volume_budget = 1e12;
-  for (int sweep = 0; sweep < 2; ++sweep)
-    insertPointCloud(tree, randomSweep(rng, rng.uniformInBox({-8.0, -3.0, -1.0}, {8.0, 3.0, 2.0}), 600),
-                     params, kFlightPath);
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    const Vec3 origin = rng.uniformInBox({-8.0, -3.0, -1.0}, {8.0, 3.0, 2.0});
+    insertPointCloud(tree, randomSweep(rng, origin, 600), params, kFlightPath);
+  }
   const PointCloud cloud = randomSweep(rng, {1.0, 0.5, 0.5}, 600);
   insertPointCloud(tree, cloud, params, kFlightPath);
 
