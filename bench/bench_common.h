@@ -1,8 +1,8 @@
 // Shared plumbing for the experiment benches.
 //
-// Every bench prints "paper vs measured" rows so EXPERIMENTS.md can be
-// regenerated from raw output, and writes raw series as CSV next to the
-// binary (./bench_out/). Mission-level benches run at a reduced scale by
+// Every bench prints "paper vs measured" rows, so its raw stdout is the
+// comparison table, and writes raw series as CSV into ./bench_out/ under
+// the working directory. Mission-level benches run at a reduced scale by
 // default so the whole suite finishes in minutes; set ROBORUN_FULL=1 for
 // the paper-scale protocol (full goal distances / spreads).
 #pragma once
@@ -63,14 +63,18 @@ struct MissionJob {
   runtime::MissionResult result;
 };
 
+/// Fleet workers for a batch of `missions`: every core but two (at least
+/// one), never more than the batch.
+inline unsigned benchThreads(std::size_t missions) {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return static_cast<unsigned>(std::min<std::size_t>(missions, hw > 2 ? hw - 2 : 1));
+}
+
 /// Run all jobs through scenario::FleetScheduler (missions are independent;
 /// each builds its own world and pipeline, results land at the job index).
 inline void runMissions(std::vector<MissionJob>& jobs, const runtime::MissionConfig& config,
                         std::size_t threads = 0) {
-  if (threads == 0) {
-    const std::size_t hw = std::thread::hardware_concurrency();
-    threads = std::min<std::size_t>(jobs.size(), hw > 2 ? hw - 2 : 1);
-  }
+  if (threads == 0) threads = benchThreads(jobs.size());
   scenario::FleetConfig fleet_config;
   fleet_config.threads = static_cast<unsigned>(threads);
   std::vector<scenario::MissionCase> cases;

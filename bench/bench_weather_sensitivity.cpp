@@ -13,6 +13,7 @@
 
 #include "bench_common.h"
 #include "geom/stats.h"
+#include "runtime/trace.h"
 #include "viz/svg_plot.h"
 
 int main() {
@@ -84,7 +85,7 @@ int main() {
     const auto clear_run = runtime::runMission(environment, design, config);
     const auto foggy_run = runtime::runMission(foggy_env, design, config);
     const auto vel = [](const runtime::MissionResult& r, env::Zone z) {
-      return r.averageVelocityInZone(z);
+      return runtime::summarizeZones(r)[static_cast<std::size_t>(z)].mean_velocity;
     };
     std::cout << "  " << runtime::designName(design) << ": zone-B velocity clear "
               << std::setprecision(2) << vel(clear_run, env::Zone::B) << " -> foggy "

@@ -8,6 +8,7 @@
 #include "env/env_gen.h"
 #include "runtime/designs.h"
 #include "runtime/report.h"
+#include "runtime/trace.h"
 
 int main() {
   using namespace roborun;
@@ -38,9 +39,9 @@ int main() {
               << " in " << result.mission_time << " s\n";
     runtime::printMetric(std::cout, "battery energy used", result.flight_energy / 1000.0,
                          "kJ");
-    for (const auto zone : {env::Zone::A, env::Zone::B, env::Zone::C})
-      std::cout << "    zone " << env::zoneName(zone) << ": " << result.timeInZone(zone)
-                << " s at " << result.averageVelocityInZone(zone) << " m/s\n";
+    for (const auto& zone : runtime::summarizeZones(result))
+      std::cout << "    zone " << env::zoneName(zone.zone) << ": " << zone.time_in_zone
+                << " s at " << zone.mean_velocity << " m/s\n";
   }
 
   std::cout << "\nA spatially-aware runtime turns the open leg into the fast leg;\n"

@@ -1,6 +1,5 @@
 #include "runtime/metrics.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "geom/stats.h"
@@ -33,26 +32,6 @@ double MissionResult::averageCpuUtilization() const {
   double sum = 0.0;
   for (const auto& r : records) sum += r.cpu_utilization;
   return sum / static_cast<double>(records.size());
-}
-
-double MissionResult::averageVelocityInZone(env::Zone zone) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& r : records) {
-    if (r.zone != zone) continue;
-    sum += r.commanded_velocity;
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-double MissionResult::timeInZone(env::Zone zone) const {
-  double total = 0.0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const double t_end = (i + 1 < records.size()) ? records[i + 1].t : mission_time;
-    if (records[i].zone == zone) total += std::max(0.0, t_end - records[i].t);
-  }
-  return total;
 }
 
 namespace {

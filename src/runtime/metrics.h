@@ -128,10 +128,6 @@ struct MissionResult {
   /// Median end-to-end decision latency.
   double medianLatency() const;
   double averageCpuUtilization() const;
-  /// Mean velocity restricted to one zone.
-  double averageVelocityInZone(env::Zone zone) const;
-  /// Time spent in each zone (by decision intervals).
-  double timeInZone(env::Zone zone) const;
 };
 
 /// Bitwise equality of every field of two decision records (doubles compared

@@ -1,6 +1,7 @@
 // Console and CSV reporting shared by the benches: every bench prints the
-// paper-reported value next to the measured one so EXPERIMENTS.md can be
-// regenerated from raw bench output.
+// paper-reported value next to the measured one, so a bench's raw output is
+// its paper-vs-measured table (bench/paper_report.cpp covers Figs. 7-11 and
+// Tables I-II).
 #pragma once
 
 #include <fstream>

@@ -11,7 +11,8 @@
 //     dstop(v) = v^2 / (2 a_max) + t_react v + margin
 // with a_max ~ 9.09 m/s^2, t_react = 0.36 s, margin = 0.20 m. Our simulated
 // drone brakes with those constants, so refitting the quadratic from
-// simulation (bench_eq2_stopping_model) recovers the coefficients.
+// simulation (sim_test's DroneTest.IntegratedBrakeFitsEq2) recovers the
+// coefficients.
 #pragma once
 
 namespace roborun::sim {

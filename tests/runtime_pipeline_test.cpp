@@ -5,6 +5,7 @@
 #include "env/env_gen.h"
 #include "runtime/metrics.h"
 #include "runtime/pipeline.h"
+#include "runtime/trace.h"
 #include "sim/latency_model.h"
 #include "sim/sensor.h"
 
@@ -216,11 +217,12 @@ TEST(MetricsTest, MissionAggregates) {
   EXPECT_DOUBLE_EQ(result.averageVelocity(), 2.0);
   EXPECT_DOUBLE_EQ(result.medianLatency(), 1.0);
   EXPECT_NEAR(result.averageCpuUtilization(), 0.4, 1e-12);
-  EXPECT_DOUBLE_EQ(result.averageVelocityInZone(env::Zone::B), 2.0);
-  EXPECT_DOUBLE_EQ(result.averageVelocityInZone(env::Zone::C), 0.0);
+  const auto zones = summarizeZones(result);  // A, B, C
+  EXPECT_DOUBLE_EQ(zones[1].mean_velocity, 2.0);
+  EXPECT_DOUBLE_EQ(zones[2].mean_velocity, 0.0);
   // Zone A: [0,10) and [20,30) -> 20 s; zone B: [10,20) -> 10 s.
-  EXPECT_NEAR(result.timeInZone(env::Zone::A), 20.0, 1e-9);
-  EXPECT_NEAR(result.timeInZone(env::Zone::B), 10.0, 1e-9);
+  EXPECT_NEAR(zones[0].time_in_zone, 20.0, 1e-9);
+  EXPECT_NEAR(zones[1].time_in_zone, 10.0, 1e-9);
 }
 
 TEST(MetricsTest, EmptyMissionSafeDefaults) {

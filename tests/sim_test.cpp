@@ -137,6 +137,34 @@ TEST(DroneTest, SimulatedStoppingDistanceMatchesEq2Shape) {
   EXPECT_NEAR(c[1], m.linear, 0.02);  // linear term ~ reaction time
 }
 
+TEST(DroneTest, IntegratedBrakeFitsEq2) {
+  // The paper's Eq. 2 protocol, flown step by step: cruise at v, command
+  // zero, integrate to standstill, then fit the measured distances.
+  const StoppingModel m;
+  std::vector<double> vs;
+  std::vector<double> ds;
+  for (double v = 0.25; v <= 5.0; v += 0.25) {
+    Drone drone;
+    drone.reset({0, 0, 3});
+    drone.commandVelocity({v, 0, 0});
+    for (int i = 0; i < 200; ++i) drone.update(0.01);
+    const double x0 = drone.state().position.x;
+    drone.commandVelocity({0, 0, 0});
+    int guard = 0;
+    while (drone.state().speed() > 1e-4 && ++guard < 100000) drone.update(0.01);
+    ASSERT_LT(guard, 100000) << "drone never stopped from " << v << " m/s";
+    vs.push_back(v);
+    // The model's constant term is a safety margin, not vehicle dynamics.
+    ds.push_back(drone.state().position.x - x0 + m.constant);
+  }
+  const auto c = geom::polyfit(vs, ds, 2);
+  EXPECT_NEAR(c[2], m.quad, 0.01);
+  EXPECT_NEAR(c[1], m.linear, 0.02);
+  std::vector<double> fitted;
+  for (const double v : vs) fitted.push_back(geom::polyval(c, v));
+  EXPECT_LT(geom::relativeMeanSquaredError(fitted, ds), 0.02);  // the paper's 2% fit
+}
+
 env::World pillarWorld() {
   env::World w(env::Aabb{{-20, -20, 0}, {20, 20, 20}}, 1.0);
   w.setColumn(w.toIx(10.5), w.toIy(0.5), 20.0);
