@@ -93,6 +93,6 @@ int main() {
                "  violation-free while using more of the budget than any other\n"
                "  non-violating policy (it spends only what the space demands allow:\n"
                "  when demands saturate below the budget, leftover budget is not a\n"
-               "  defect but headroom — see bench_cotask_headroom).\n";
+               "  defect but headroom — see paper_report's co-task section).\n";
   return 0;
 }

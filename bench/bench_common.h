@@ -21,7 +21,6 @@
 #include "runtime/designs.h"
 #include "runtime/mission.h"
 #include "runtime/report.h"
-#include "scenario/fleet_scheduler.h"
 
 namespace roborun::bench {
 
@@ -57,53 +56,11 @@ inline std::filesystem::path outDir() {
   return dir;
 }
 
-struct MissionJob {
-  env::EnvSpec spec;
-  runtime::DesignType design = runtime::DesignType::SpatialOblivious;
-  runtime::MissionResult result;
-};
-
 /// Fleet workers for a batch of `missions`: every core but two (at least
 /// one), never more than the batch.
 inline unsigned benchThreads(std::size_t missions) {
   const std::size_t hw = std::thread::hardware_concurrency();
   return static_cast<unsigned>(std::min<std::size_t>(missions, hw > 2 ? hw - 2 : 1));
-}
-
-/// Run all jobs through scenario::FleetScheduler (missions are independent;
-/// each builds its own world and pipeline, results land at the job index).
-inline void runMissions(std::vector<MissionJob>& jobs, const runtime::MissionConfig& config,
-                        std::size_t threads = 0) {
-  if (threads == 0) threads = benchThreads(jobs.size());
-  scenario::FleetConfig fleet_config;
-  fleet_config.threads = static_cast<unsigned>(threads);
-  std::vector<scenario::MissionCase> cases;
-  for (const MissionJob& job : jobs) {
-    scenario::MissionCase c;
-    c.scenario = "bench";
-    c.env = job.spec;
-    c.design = job.design;
-    c.config = config;
-    cases.push_back(std::move(c));
-  }
-  scenario::FleetScheduler scheduler(config, fleet_config);
-  scheduler.admit(std::move(cases));
-  scenario::FleetResult result = scheduler.run();
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    jobs[i].result = std::move(result.rows[i].result);
-}
-
-/// "N of M missions reached the goal" summary line.
-inline void printSuccessRate(const std::vector<MissionJob>& jobs, runtime::DesignType design) {
-  std::size_t total = 0;
-  std::size_t ok = 0;
-  for (const auto& j : jobs) {
-    if (j.design != design) continue;
-    ++total;
-    ok += j.result.reached_goal() ? 1 : 0;
-  }
-  std::cout << "  " << runtime::designName(design) << ": " << ok << "/" << total
-            << " missions reached the goal\n";
 }
 
 }  // namespace roborun::bench

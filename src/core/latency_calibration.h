@@ -20,7 +20,8 @@
 namespace roborun::core {
 
 /// Scene assumptions behind the calibration samples (a mid-congestion
-/// operating point; see DESIGN.md).
+/// operating point; bench/paper_report.cpp's Fig. 2a and Eq. 4 sections
+/// print what it yields).
 struct CalibrationScene {
   std::size_t sensor_rays = 1680;    ///< rays per sweep (6 cams x 20 x 14)
   double surface_fraction = 0.08;    ///< obstacle share of the region surface

@@ -8,7 +8,8 @@
 // volume scale, (q_i3 v_i), which is redundant with q_i0..q_i2; we use it
 // as the polynomial's constant term instead, which keeps four meaningful
 // coefficients and markedly improves the fit on stages whose cost has a
-// precision-independent component (see EXPERIMENTS.md).
+// precision-independent component (bench/paper_report.cpp's Eq. 4 section
+// prints the fit; CalibrationTest.FitQualityUsable pins its residuals).
 #pragma once
 
 #include <array>

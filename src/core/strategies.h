@@ -1,5 +1,5 @@
 // Alternative governor solver strategies — the design-choice ablation for
-// Eq. 3 (see DESIGN.md experiment E21).
+// Eq. 3 (bench/paper_report.cpp's governor-ablation section).
 //
 // The paper solves a joint constrained optimization over all six knobs each
 // decision. This module provides the strategies a simpler system would use,

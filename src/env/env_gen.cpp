@@ -107,8 +107,8 @@ Environment generateEnvironment(const EnvSpec& spec) {
       // Pole-sized (1 m) pillars everywhere: rack-sized blocks in cluster
       // cores were tried and produce dead-end pockets that even the
       // breadcrumb-backtracking recovery cannot always replan out of (the
-      // map closes in behind the vehicle); see EXPERIMENTS.md "known
-      // deviations" for the consequence on Fig. 8d/10b zone contrast.
+      // map closes in behind the vehicle). The consequence, a weaker zone
+      // contrast, shows in bench/paper_report.cpp's Fig. 8d and Fig. 10b.
       const int footprint = 1;
       const double margin = 1.0;
       if (start.distXY({x, y, 0}) < spec.clear_pocket + margin) continue;

@@ -213,8 +213,8 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
     // NOTE: this literal is intentionally frozen (not std::numbers::pi).
     // Missions are chaotic in their inputs: changing the constant by 1e-14
     // reroutes whole trajectories, and the validated regression baselines
-    // (fixture seeds, EXPERIMENTS.md numbers) were recorded against this
-    // value.
+    // (fixture seeds, tests/reference_mission.h, the figures
+    // bench/paper_report.cpp prints) were recorded against this value.
     const double v2_radius =
         std::cbrt(3.0 * std::max(p_plan.volume, 1.0) / (4.0 * 3.14159265358979));
     const double horizon =

@@ -105,13 +105,20 @@ TEST(CalibrationTest, FitQualityUsable) {
   // latencies. Our ground truth is the analytic work model, whose
   // saturating shapes (ray/voxel dedup, iteration caps) are deliberately
   // not Eq. 4-shaped, so the parametric fit carries a larger residual —
-  // documented in EXPERIMENTS.md. This test guards against regressions
-  // that would make the governor's model unusable.
+  // bench/paper_report.cpp's Eq. 4 section prints it. This test guards
+  // against regressions that would make the governor's model unusable, and
+  // pins each stage's residual so a change to the samples or the latency
+  // model cannot move the printed fit unnoticed.
+  constexpr double kPinnedMse[kNumStages] = {0.41758231516779254, 0.24872729740449784,
+                                             0.43003074689204013};
   const sim::LatencyModel model;
   const auto result = calibratePredictor(model, KnobConfig{});
-  for (std::size_t i = 0; i < kNumStages; ++i)
+  for (std::size_t i = 0; i < kNumStages; ++i) {
     EXPECT_LT(result.relative_mse[i], 0.5)
         << "stage " << stageName(static_cast<Stage>(i));
+    EXPECT_NEAR(result.relative_mse[i], kPinnedMse[i], 0.01)
+        << "stage " << stageName(static_cast<Stage>(i));
+  }
 }
 
 TEST(CalibrationTest, ModeledLatencyMonotone) {
