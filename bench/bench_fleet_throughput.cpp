@@ -30,6 +30,7 @@
 //   bench_fleet_throughput [--smoke] [--json <path>] [--threads N]
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -40,6 +41,7 @@
 
 #include "obs/json.h"
 #include "runtime/designs.h"
+#include "runtime/parse_number.h"
 #include "scenario/catalog.h"
 #include "scenario/fleet_report.h"
 #include "scenario/fleet_scheduler.h"
@@ -59,6 +61,8 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* const usage =
+      "usage: bench_fleet_throughput [--smoke] [--json <path>] [--threads N]\n";
   bool smoke = false;
   std::string json_path;
   unsigned threads = 0;
@@ -69,9 +73,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::max(1, std::atoi(argv[++i])));
+      const char* text = argv[++i];
+      std::uint64_t n = 0;
+      if (!runtime::parseNumber(text, n) || n < 1 || n > 4096) {
+        std::cerr << "bench_fleet_throughput: --threads needs an integer in [1, 4096], got '"
+                  << text << "'\n"
+                  << usage;
+        return 2;
+      }
+      threads = static_cast<unsigned>(n);
     } else {
-      std::cout << "usage: bench_fleet_throughput [--smoke] [--json <path>] [--threads N]\n";
+      std::cout << usage;
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }

@@ -9,7 +9,8 @@
 //   reference_governor  the frozen seed budgeter + exhaustive solver
 //                       (tests/reference_governor.h)
 //   engine_enumerate    core::DecisionEngine with the solver memo disabled
-//                       (isolates the hoisted candidate-table win)
+//                       (every decision runs GovernorSolver::pick, the
+//                       same loop as the frozen reference)
 //   engine_memoized     the full DecisionEngine (adds the generation-
 //                       stamped solver memo win)
 //
@@ -194,8 +195,7 @@ int main(int argc, char** argv) {
       DecisionEngine::Config config;
       config.knobs = knobs;
       config.budgeter = budgeter;
-      config.solver_memo_capacity = 0;  // enumeration via hoisted tables only
-      config.collect_timing = false;
+      config.solver_memo_capacity = 0;  // every decision enumerates
       DecisionEngine engine(config, predictor);
       enum_s = std::min(enum_s, timeIt([&] {
         for (std::size_t s = 0; s < decisions; ++s) check(engine.decide(pool[schedule[s]]), s);
@@ -205,7 +205,6 @@ int main(int argc, char** argv) {
       DecisionEngine::Config config;
       config.knobs = knobs;
       config.budgeter = budgeter;
-      config.collect_timing = false;
       DecisionEngine engine(config, predictor);
       memo_s = std::min(memo_s, timeIt([&] {
         for (std::size_t s = 0; s < decisions; ++s) check(engine.decide(pool[schedule[s]]), s);
@@ -325,7 +324,6 @@ int main(int argc, char** argv) {
       config.knobs = knobs;
       config.budgeter = budgeter;
       config.profiler = profiler_config;
-      config.collect_timing = false;
       DecisionEngine engine(config, predictor);
       double acc = 0.0;
       for (std::size_t e = 0; e < flown.size(); ++e) {
@@ -393,7 +391,6 @@ int main(int argc, char** argv) {
   tenant_config.knobs = knobs;
   tenant_config.budgeter = budgeter;
   tenant_config.profiler = profiler_config;
-  tenant_config.collect_timing = false;
 
   // Private engines: one per tenant, each stream alone — the per-tenant
   // ground truth for both answers and reuse counts.

@@ -696,13 +696,17 @@ void figure8(const Flown& grid) {
   csv.header({"knob", "roborun_ratio", "baseline_ratio"});
   viz::SvgBarChart chart("Fig. 8: flight-time sensitivity (worst/best ratio)", "ratio",
                          {"roborun", "spatial oblivious"});
+  const std::string roborun_counts = "reached: roborun " + reachedCount(grid, DesignType::RoboRun);
+  const std::string baseline_counts =
+      "reached: oblivious " + reachedCount(grid, DesignType::SpatialOblivious);
+  std::cout << "  survivor-only flight-time ratios (missions that reached the goal):\n";
   int id = 0;
   for (const auto& c : cases) {
     const double rr = sensitivity(grid, DesignType::RoboRun, c.member);
     const double bl = sensitivity(grid, DesignType::SpatialOblivious, c.member);
     std::cout << "  " << c.name << ":\n";
-    runtime::printComparison(std::cout, "  roborun flight-time ratio", c.paper_roborun, rr);
-    runtime::printComparison(std::cout, "  baseline flight-time ratio", c.paper_baseline, bl);
+    printFactor("  roborun flight-time ratio", c.paper_roborun, rr, roborun_counts);
+    printFactor("  baseline flight-time ratio", c.paper_baseline, bl, baseline_counts);
     csv.row({static_cast<double>(id++), rr, bl});
     chart.addGroup({c.name, {rr, bl}});
   }
@@ -1107,6 +1111,7 @@ void addVmax(Batch& batch) {
 // visible.
 void vmaxCalibration(const Flown& flown) {
   banner("Calibration: velocity cap vs collision-free rate");
+  std::cout << "  mission time and velocity: means over the missions that reached the goal\n";
   std::cout << "  v_max | collision-free | mean mission time | mean velocity\n";
   std::cout << "  ------+----------------+-------------------+--------------\n";
   const std::size_t worlds = flown.size() / std::size(kVmaxCaps);
@@ -1252,6 +1257,7 @@ void dynamicObstacles(const Flown& flown) {
   viz::Series series_baseline{"spatial oblivious", {}, {}, "", true, true};
   viz::Series series_roborun{"roborun", {}, {}, "", false, true};
 
+  std::cout << "  time and vel: means over the missions that reached the goal\n";
   std::cout << "  design            | mover speed | success | collisions | time (s) | vel "
                "(m/s)\n";
   std::cout << "  ------------------+-------------+---------+------------+----------+------"
@@ -1557,6 +1563,7 @@ void horizonAblation(const Flown& flown) {
   csv.header({"horizon", "success_rate", "mean_time_s", "mean_velocity_mps",
               "mean_budget_s", "budget_overrun_rate"});
 
+  std::cout << "  time and vel: means over the missions that reached the goal\n";
   std::cout << "  horizon | success | time (s) | vel (m/s) | median budget (s) | latency >"
                " budget\n";
   std::cout << "  --------+---------+----------+-----------+-------------------+----------"

@@ -9,7 +9,7 @@
 #include <iostream>
 #include <utility>
 
-#include "core/governor.h"
+#include "core/decision_engine.h"
 #include "core/latency_calibration.h"
 #include "runtime/report.h"
 
@@ -42,7 +42,9 @@ int main() {
   // --- 3. Budget and solve on both platforms ---
   for (const auto& [name, cal] :
        {std::pair{"stock i9", &stock_cal}, std::pair{"accelerated octomap", &accel_cal}}) {
-    core::RoboRunGovernor governor(knobs, core::BudgeterConfig{}, cal->predictor);
+    core::DecisionEngine::Config config;
+    config.knobs = knobs;
+    core::DecisionEngine governor(config, cal->predictor);
     const auto decision = governor.decide(congested);
     runtime::printBanner(std::cout, name);
     runtime::printMetric(std::cout, "time budget (deadline)", decision.budget, "s");

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
-#include <cmath>
-#include <cstring>
 #include <numbers>
 
 #include "core/latency_calibration.h"
@@ -12,12 +9,6 @@
 namespace roborun::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double msBetween(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
 
 std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -66,22 +57,10 @@ std::size_t roundUpPow2(std::size_t v) {
 }  // namespace
 
 DecisionEngine::DecisionEngine(const Config& config, LatencyPredictor predictor)
-    : config_(config), budgeter_(config.budgeter), predictor_(std::move(predictor)) {
-  // Hoist the precision ladder and, for every (lo, hi) rung interval the
-  // envelope can produce, the Eq. 3 candidate (l0, l1) pairs in the seed
-  // enumeration order: l1 ascending, l0 ascending within l1, subject to
-  // lo <= l0 <= l1 <= hi.
-  ladder_levels_ = std::clamp(config_.knobs.precision_levels, 1, 8);
-  ladder_ = config_.knobs.precisionLadder();
-  candidates_.resize(64);
-  for (int lo = 0; lo < ladder_levels_; ++lo) {
-    for (int hi = lo; hi < ladder_levels_; ++hi) {
-      auto& pairs = candidates_[static_cast<std::size_t>(lo * 8 + hi)];
-      for (int l1 = 0; l1 <= hi; ++l1)
-        for (int l0 = lo; l0 <= l1; ++l0) pairs.emplace_back(l0, l1);
-    }
-  }
-
+    : config_(config),
+      budgeter_(config.budgeter),
+      predictor_(std::move(predictor)),
+      solver_(config_.knobs, predictor_) {
   if (config_.solver_memo_capacity > 0) {
     // Capacity is the total across shards; each shard gets a power-of-two
     // slab no smaller than one probe window so a single hot key cluster
@@ -99,15 +78,6 @@ std::shared_ptr<DecisionEngine> DecisionEngine::calibrated(const sim::LatencyMod
                                                            const Config& config) {
   return std::make_shared<DecisionEngine>(
       config, calibratePredictor(latency_model, config.knobs).predictor);
-}
-
-int DecisionEngine::ladderIndexOf(double p) const {
-  // The seed filters compare precisions against the envelope bounds with a
-  // 1e-9 tolerance; rung gaps are >= voxel_min, so tolerance-matching the
-  // bound onto a rung index reproduces those filters exactly.
-  for (int i = 0; i < ladder_levels_; ++i)
-    if (std::fabs(ladder_[static_cast<std::size_t>(i)] - p) <= 1e-9) return i;
-  return -1;
 }
 
 // --- client registry --------------------------------------------------------
@@ -157,109 +127,7 @@ void DecisionEngine::clearMemo() {
 
 // --- Eq. 3 solve ------------------------------------------------------------
 
-SolverResult DecisionEngine::resultFromEntry(const MemoEntry& entry, double budget,
-                                             double knob_budget) const {
-  // Everything downstream of the chosen (p0, p1, volumes, latency) is a
-  // pure function of it plus (budget, fixed_overhead): re-derive rather
-  // than store, so memo hits and fresh enumerations share this one code
-  // path — the exact feasibility re-check that keeps cached answers
-  // bit-identical to enumeration.
-  SolverResult result;
-  if (!entry.has_solution) return result;
-  result.policy.stage(Stage::Perception) = {entry.p0, entry.volumes[0]};
-  result.policy.stage(Stage::PerceptionToPlanning) = {entry.p1, entry.volumes[1]};
-  result.policy.stage(Stage::Planning) = {entry.p1, entry.volumes[2]};
-  result.policy.deadline = budget;
-  result.policy.predicted_latency = entry.latency + config_.knobs.fixed_overhead;
-  const double diff = knob_budget - entry.latency;
-  result.objective = diff * diff;
-  result.budget_met = entry.latency <= knob_budget + 1e-9;
-  return result;
-}
-
-void DecisionEngine::enumerate(double knob_budget, const KnobEnvelope& env,
-                               MemoEntry& entry) const {
-  MemoEntry best;
-  bool have_best = false;
-  double best_p0 = 1e18;
-  double best_p1 = 1e18;
-  double best_volume = -1.0;
-  double best_objective = 0.0;
-  bool best_met = false;
-
-  auto runCandidate = [&](double p0, double p1) {
-    auto latency_of_scale = [&](double s) {
-      const auto v = env.volumesAtScale(s);
-      return predictor_.predict(Stage::Perception, p0, v[0]) +
-             predictor_.predict(Stage::PerceptionToPlanning, p1, v[1]) +
-             predictor_.predict(Stage::Planning, p1, v[2]);
-    };
-    double latency = 0.0;
-    const double s = volumeScaleForBudget(latency_of_scale, knob_budget, latency);
-    const auto v = env.volumesAtScale(s);
-    const double diff = knob_budget - latency;
-    const double objective = diff * diff;
-    const bool met = latency <= knob_budget + 1e-9;
-
-    // The seed's preference chain, verbatim: meet the budget; then the
-    // coarsest demanded precision; then the largest volume; then the
-    // closest fit.
-    bool better = false;
-    if (!have_best) {
-      better = true;
-    } else if (met != best_met) {
-      better = met;
-    } else if (p0 != best_p0) {
-      better = p0 > best_p0;
-    } else if (p1 != best_p1) {
-      better = p1 > best_p1;
-    } else if (v[0] != best_volume) {
-      better = v[0] > best_volume;
-    } else {
-      better = objective < best_objective;
-    }
-    if (better) {
-      best.p0 = p0;
-      best.p1 = p1;
-      best.volumes = v;
-      best.latency = latency;
-      best.has_solution = true;
-      best_p0 = p0;
-      best_p1 = p1;
-      best_volume = v[0];
-      best_objective = objective;
-      best_met = met;
-      have_best = true;
-    }
-  };
-
-  const int lo = ladderIndexOf(env.p0_lo);
-  const int hi = ladderIndexOf(env.p0_hi);
-  if (lo >= 0 && hi >= 0 && lo <= hi) {
-    for (const auto& [l0, l1] : candidates_[static_cast<std::size_t>(lo * 8 + hi)])
-      runCandidate(ladder_[static_cast<std::size_t>(l0)],
-                   ladder_[static_cast<std::size_t>(l1)]);
-  } else {
-    // Off-ladder envelope bounds (cannot happen via computeEnvelope, which
-    // snaps; kept for arbitrary KnobConfigs): the seed loop, filters and
-    // all.
-    for (int l1 = 0; l1 < ladder_levels_; ++l1) {
-      const double p1 = ladder_[static_cast<std::size_t>(l1)];
-      if (p1 > env.p0_hi + 1e-9) continue;
-      for (int l0 = 0; l0 <= l1; ++l0) {
-        const double p0 = ladder_[static_cast<std::size_t>(l0)];
-        if (p0 + 1e-9 < env.p0_lo || p0 > env.p0_hi + 1e-9) continue;
-        runCandidate(p0, p1);
-      }
-    }
-  }
-
-  entry = best;
-}
-
-SolverResult DecisionEngine::solveMemoized(double budget, const SpaceProfile& profile,
-                                           bool& memo_hit) {
-  memo_hit = false;
+SolverResult DecisionEngine::solveMemoized(double budget, const SpaceProfile& profile) {
   const double fixed_overhead = config_.knobs.fixed_overhead;
   const double knob_budget = std::max(budget - fixed_overhead, 0.0);
   const KnobEnvelope env = computeEnvelope(config_.knobs, profile);
@@ -269,30 +137,24 @@ SolverResult DecisionEngine::solveMemoized(double budget, const SpaceProfile& pr
 
   const std::uint64_t home = hashKey(key);
   MemoShard& shard = memo_shards_[(home >> 60) & (kMemoShards - 1)];
-  MemoEntry entry;
 
   if (shard.mask != 0) {
     std::lock_guard lock(shard.mutex);
     for (std::size_t k = 0; k < kProbeWindow; ++k) {
       const MemoEntry& e = shard.slots[(home + k) & shard.mask];
       if (e.generation == shard.generation && e.key == key) {
-        memo_hit = true;
-        entry = e;
-        break;
+        stats_.solver_memo_hits.fetch_add(1, std::memory_order_relaxed);
+        return GovernorSolver::resultFor(e.pick, budget, fixed_overhead);
       }
     }
   }
-  if (memo_hit) {
-    stats_.solver_memo_hits.fetch_add(1, std::memory_order_relaxed);
-    return resultFromEntry(entry, budget, knob_budget);
-  }
 
   stats_.solver_memo_misses.fetch_add(1, std::memory_order_relaxed);
-  // Enumeration is a pure function of immutable tables — run it OUTSIDE the
-  // shard lock so a miss never serializes other shards' traffic (or even
-  // this shard's hits). Two threads racing the same cold key both enumerate
-  // the identical pure entry; the second insert is a no-op refresh.
-  enumerate(knob_budget, env, entry);
+  // The enumeration is a pure function of the immutable solver — run it
+  // OUTSIDE the shard lock so a miss never serializes other shards' traffic
+  // (or even this shard's hits). Two threads racing the same cold key both
+  // enumerate the identical pick; the second insert is a no-op refresh.
+  const SolverPick pick = solver_.pick(knob_budget, env);
   if (shard.mask != 0) {
     std::lock_guard lock(shard.mutex);
     std::size_t victim = home & shard.mask;
@@ -304,31 +166,22 @@ SolverResult DecisionEngine::solveMemoized(double budget, const SpaceProfile& pr
         break;
       }
     }
-    MemoEntry& slot = shard.slots[victim];
-    slot = entry;
-    slot.key = key;
-    slot.generation = shard.generation;
+    shard.slots[victim] = {shard.generation, key, pick};
   }
-  return resultFromEntry(entry, budget, knob_budget);
+  return GovernorSolver::resultFor(pick, budget, fixed_overhead);
 }
 
 // --- governor path ----------------------------------------------------------
 
-GovernorDecision DecisionEngine::decideCore(const SpaceProfile& profile,
-                                            DecisionTiming& timing, bool& memo_hit) {
-  const bool timed = config_.collect_timing;
-  const auto t0 = timed ? Clock::now() : Clock::time_point{};
-
+GovernorDecision DecisionEngine::decide(const SpaceProfile& profile) {
   GovernorDecision decision;
   const std::size_t obs_budget = config_.spans
                                      ? config_.spans->begin(obs::Stage::Govern, "budget")
                                      : obs::SpanRecorder::kNoSpan;
   decision.budget = budgeter_.globalBudget(profile.waypoints);
   if (config_.spans) config_.spans->end(obs_budget);
-  const auto t1 = timed ? Clock::now() : Clock::time_point{};
 
   SolverResult result;
-  memo_hit = false;
   const std::size_t obs_solve = config_.spans
                                     ? config_.spans->begin(obs::Stage::Govern, "solve")
                                     : obs::SpanRecorder::kNoSpan;
@@ -345,31 +198,14 @@ GovernorDecision DecisionEngine::decideCore(const SpaceProfile& profile,
   } else {
     // The memoized path reads the profile only through the envelope, so it
     // skips the waypoint-vector copy the SolverInputs interface forces.
-    result = solveMemoized(decision.budget, profile, memo_hit);
+    result = solveMemoized(decision.budget, profile);
   }
   if (config_.spans) config_.spans->end(obs_solve);
-  const auto t2 = timed ? Clock::now() : Clock::time_point{};
 
   decision.policy = result.policy;
   decision.budget_met = result.budget_met;
   decision.solver_objective = result.objective;
-
-  if (timed) {
-    timing.budget_wall_ms += msBetween(t0, t1);
-    timing.solve_wall_ms += msBetween(t1, t2);
-    stats_.budget_wall_ms.fetch_add(msBetween(t0, t1), std::memory_order_relaxed);
-    stats_.solve_wall_ms.fetch_add(msBetween(t1, t2), std::memory_order_relaxed);
-  }
   stats_.decisions.fetch_add(1, std::memory_order_relaxed);
-  return decision;
-}
-
-GovernorDecision DecisionEngine::decide(const SpaceProfile& profile) {
-  DecisionTiming timing;
-  bool memo_hit = false;
-  GovernorDecision decision = decideCore(profile, timing, memo_hit);
-  timing.total_wall_ms = timing.budget_wall_ms + timing.solve_wall_ms;
-  recordTiming(timing);
   return decision;
 }
 
@@ -398,28 +234,15 @@ EngineDecision DecisionEngine::decideFromSensors(const sim::SensorFrame& frame,
                                                  const geom::Vec3& velocity,
                                                  const geom::Vec3& travel_dir,
                                                  ClientId client) {
-  const bool timed = config_.collect_timing;
-  const auto t0 = timed ? Clock::now() : Clock::time_point{};
-
   EngineDecision out;
   {
     obs::ScopedSpan obs_profile(config_.spans, obs::Stage::Govern, "profile");
     const std::shared_ptr<ClientState> state = clientState(client);
     std::lock_guard lock(state->mutex);
-    out.profile = profileForClient(*state, frame, map, trajectory, position, velocity,
-                                   travel_dir, out.profile_reused);
+    out.profile =
+        profileForClient(*state, frame, map, trajectory, position, velocity, travel_dir);
   }
-  const auto t1 = timed ? Clock::now() : Clock::time_point{};
-  if (timed) {
-    out.timing.profile_wall_ms = msBetween(t0, t1);
-    stats_.profile_wall_ms.fetch_add(out.timing.profile_wall_ms,
-                                     std::memory_order_relaxed);
-  }
-
-  out.decision = decideCore(out.profile, out.timing, out.solver_memo_hit);
-  out.timing.total_wall_ms =
-      out.timing.profile_wall_ms + out.timing.budget_wall_ms + out.timing.solve_wall_ms;
-  recordTiming(out.timing);
+  out.decision = decide(out.profile);
   return out;
 }
 
@@ -428,11 +251,9 @@ SpaceProfile DecisionEngine::profile(const sim::SensorFrame& frame,
                                      const planning::Trajectory& trajectory,
                                      const geom::Vec3& position, const geom::Vec3& velocity,
                                      const geom::Vec3& travel_dir, ClientId client) {
-  bool reused = false;
   const std::shared_ptr<ClientState> state = clientState(client);
   std::lock_guard lock(state->mutex);
-  return profileForClient(*state, frame, map, trajectory, position, velocity, travel_dir,
-                          reused);
+  return profileForClient(*state, frame, map, trajectory, position, velocity, travel_dir);
 }
 
 // --- incremental space profiling --------------------------------------------
@@ -443,9 +264,8 @@ SpaceProfile DecisionEngine::profileForClient(ClientState& state,
                                               const planning::Trajectory& trajectory,
                                               const geom::Vec3& position,
                                               const geom::Vec3& velocity,
-                                              const geom::Vec3& travel_dir, bool& reused) {
+                                              const geom::Vec3& travel_dir) {
   using geom::Vec3;
-  reused = false;
 
   const double unknown_step = config_.profiler.unknown_probe_step;
   const double probe = std::max(unknown_step, 0.25);
@@ -498,7 +318,6 @@ SpaceProfile DecisionEngine::profileForClient(ClientState& state,
         !state.all_dirty &&
         (state.dirty.isEmpty() || !state.dirty.intersects(state.cache.sample_bounds));
     if (cache_ok) {
-      reused = true;
       stats_.profile_reuses.fetch_add(1, std::memory_order_relaxed);
     } else {
       ProfileCache& c = state.cache;
@@ -603,12 +422,6 @@ void DecisionEngine::noteTrajectoryChanged(ClientId client) {
   ++state->traj_version;
 }
 
-void DecisionEngine::setStrategy(std::unique_ptr<SolverStrategy> strategy) {
-  std::lock_guard lock(strategy_mutex_);
-  strategy_ = std::move(strategy);
-  has_strategy_.store(strategy_ != nullptr, std::memory_order_release);
-}
-
 void DecisionEngine::selectStrategy(StrategyType type, int patience) {
   std::lock_guard lock(strategy_mutex_);
   strategy_ = type == StrategyType::Exhaustive
@@ -650,9 +463,6 @@ EngineStats DecisionEngine::stats() const {
   out.strategy_decisions = stats_.strategy_decisions.load(std::memory_order_relaxed);
   out.profile_builds = stats_.profile_builds.load(std::memory_order_relaxed);
   out.profile_reuses = stats_.profile_reuses.load(std::memory_order_relaxed);
-  out.profile_wall_ms = stats_.profile_wall_ms.load(std::memory_order_relaxed);
-  out.budget_wall_ms = stats_.budget_wall_ms.load(std::memory_order_relaxed);
-  out.solve_wall_ms = stats_.solve_wall_ms.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -663,19 +473,6 @@ void DecisionEngine::resetStats() {
   stats_.strategy_decisions.store(0, std::memory_order_relaxed);
   stats_.profile_builds.store(0, std::memory_order_relaxed);
   stats_.profile_reuses.store(0, std::memory_order_relaxed);
-  stats_.profile_wall_ms.store(0.0, std::memory_order_relaxed);
-  stats_.budget_wall_ms.store(0.0, std::memory_order_relaxed);
-  stats_.solve_wall_ms.store(0.0, std::memory_order_relaxed);
-}
-
-void DecisionEngine::recordTiming(const DecisionTiming& timing) {
-  std::lock_guard lock(timing_mutex_);
-  last_timing_ = timing;
-}
-
-DecisionTiming DecisionEngine::lastTiming() const {
-  std::lock_guard lock(timing_mutex_);
-  return last_timing_;
 }
 
 void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
@@ -692,9 +489,6 @@ void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
   registry.counter(name("strategy_decisions")).add(stats.strategy_decisions);
   registry.counter(name("profile_builds")).add(stats.profile_builds);
   registry.counter(name("profile_reuses")).add(stats.profile_reuses);
-  registry.gauge(name("profile_wall_ms")).set(stats.profile_wall_ms);
-  registry.gauge(name("budget_wall_ms")).set(stats.budget_wall_ms);
-  registry.gauge(name("solve_wall_ms")).set(stats.solve_wall_ms);
   registry.gauge(name("solver_memo_hit_rate")).set(stats.solverMemoHitRate());
 }
 

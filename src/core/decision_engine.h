@@ -8,26 +8,23 @@
 //   space profiling (Table I)  ->  time budgeting (Eq. 1 / Alg. 1)
 //       ->  Eq. 3 solve (exhaustive or pluggable strategy)  ->  policy
 //
-// and rearchitects it for decision-heavy traffic while staying bit-identical
-// to the seed implementation (frozen as tests/reference_governor.h):
+// It is the only RoboRun governor in src/ (every RoboRun mission decides
+// through it), and it stays bit-identical to the seed implementation
+// (frozen as tests/reference_governor.h) while adding two caches for
+// decision-heavy traffic:
 //
-//  * Solver memoization. The exhaustive Eq. 3 enumeration is a pure
-//    function of (knob budget, KnobEnvelope): every other input reaches the
-//    solver only through those seven doubles. Results are cached in a
-//    generation-stamped, allocation-free open-addressed table. The
-//    *quantized* key tuple picks the bucket (nearby budgets/envelopes land
-//    in the same probe window, keeping the table dense); a hit requires the
-//    stored key to match the live key BIT FOR BIT, and re-derives the
-//    feasibility flag / objective / deadline from the live inputs (the
-//    exact feasibility re-check). A cached answer is therefore always
-//    identical to what enumeration would have produced — quantization can
-//    only cost hits, never correctness.
-//
-//  * Hoisted precision-ladder candidate tables. The (p0, p1) pairs Eq. 3's
-//    constraints admit depend only on the envelope's [p0_lo, p0_hi] ladder
-//    interval; all 36 candidate lists are precomputed at construction in
-//    the seed's exact enumeration order, so a memo miss runs no per-rung
-//    filtering.
+//  * Solver memoization. The exhaustive Eq. 3 enumeration
+//    (GovernorSolver::pick) is a pure function of (knob budget,
+//    KnobEnvelope): every other input reaches the solver only through those
+//    seven doubles. Picks are cached in a generation-stamped,
+//    allocation-free open-addressed table. The *quantized* key tuple picks
+//    the bucket (nearby budgets/envelopes land in the same probe window,
+//    keeping the table dense); a hit requires the stored key to match the
+//    live key BIT FOR BIT, and GovernorSolver::resultFor re-derives the
+//    feasibility flag / objective / deadline from the live inputs, on hits
+//    and misses alike. A cached answer is therefore always identical to
+//    what enumeration would have produced — quantization can only cost
+//    hits, never correctness.
 //
 //  * Incremental space profiling. The only map-dependent (and dominant)
 //    part of profileSpace is the occupancy sample pass along the
@@ -61,10 +58,14 @@
 //    16 independently locked shards selected by key hash; concurrent
 //    decide() calls probe and insert in parallel, only colliding when their
 //    keys land in the same shard. Enumeration on a miss runs outside any
-//    lock (it is a pure function of immutable tables), and a hit still
+//    lock (it is a pure function of the immutable solver), and a hit still
 //    requires the full 7x64-bit key to match exactly, so cached answers
 //    stay bit-identical to enumeration. There is no whole-engine mutex on
-//    the decide path anymore; stats are atomic counters.
+//    the decide path; stats are atomic counters.
+//
+// The engine reads no clock. Its only timing is the Govern "profile" /
+// "budget" / "solve" spans on Config::spans, which cost one branch per site
+// when no recorder is set.
 //
 // Pluggable strategies may carry cross-decision state, so strategy solves
 // serialize on a dedicated strategy lock (fleet sharing is Exhaustive-only
@@ -99,24 +100,11 @@ class LatencyModel;
 
 namespace roborun::core {
 
-/// Measured wall time of one decision, split by governor stage (ms). A
-/// measurement of this run — NOT deterministic, never fed back into the
-/// decision loop (the modeled latencies drive all decisions).
-struct DecisionTiming {
-  double profile_wall_ms = 0.0;  ///< space profiling (0 for decide(profile))
-  double budget_wall_ms = 0.0;   ///< Eq. 1 / Algorithm 1
-  double solve_wall_ms = 0.0;    ///< Eq. 3 (memo probe or enumeration)
-  double total_wall_ms = 0.0;
-};
-
-/// One full sensor-path decision: the profile the governor saw, the policy
-/// it emitted, and this decision's measured stage timing.
+/// One full sensor-path decision: the profile the governor saw and the
+/// policy it emitted.
 struct EngineDecision {
   SpaceProfile profile;
   GovernorDecision decision;
-  DecisionTiming timing;
-  bool solver_memo_hit = false;  ///< Eq. 3 answered from the memo table
-  bool profile_reused = false;   ///< visibility samples reused across epochs
 };
 
 /// Monotonic counters since construction (or the last resetStats()).
@@ -127,6 +115,9 @@ struct EngineStats {
   std::uint64_t strategy_decisions = 0;  ///< routed to a pluggable strategy
   std::uint64_t profile_builds = 0;
   std::uint64_t profile_reuses = 0;
+  /// Always 0: the engine reads no clock (time its stages with the Govern
+  /// spans instead). Declared only because perfbench's stat summing still
+  /// names them.
   double profile_wall_ms = 0.0;
   double budget_wall_ms = 0.0;
   double solve_wall_ms = 0.0;
@@ -147,7 +138,7 @@ struct EngineStats {
 
 /// Adapter into the observability spine: publish these counters into a
 /// MetricsRegistry under `<prefix>.<field>` (counters for the monotonic
-/// counts, gauges for the wall sums and the derived hit rate). This is how
+/// counts, a gauge for the derived hit rate). This is how
 /// legacy stat structs flow into the one snapshot/delta API reports
 /// consume — see obs/metrics_registry.h.
 void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
@@ -166,8 +157,7 @@ class DecisionEngine {
     ProfilerConfig profiler;
     /// Solver memo capacity (total entries across all shards; rounded up so
     /// each shard is a power of two). 0 disables memoization — every
-    /// decision enumerates (the hoisted candidate tables still apply);
-    /// bench ablation surface.
+    /// decision enumerates; bench ablation surface.
     std::size_t solver_memo_capacity = 1024;
     /// Keyed profile-cache slot pool: at most this many client keys keep
     /// their sample caches live (least-recently-used key evicted beyond
@@ -175,9 +165,6 @@ class DecisionEngine {
     /// schedulers use their worker count); an evicted key only loses
     /// warmth, never correctness.
     std::size_t profile_cache_clients = 8;
-    /// Collect per-stage wall timing. Costs a few clock reads per decision;
-    /// throughput benches may turn it off.
-    bool collect_timing = true;
     /// Span recorder for the governor sub-stages (Govern spans with detail
     /// "profile" / "budget" / "solve"). Pure measurement channel — null
     /// (the default) costs one branch per site and nothing else, and a
@@ -206,9 +193,10 @@ class DecisionEngine {
   void releaseClient(ClientId client);
 
   /// The governor core: budget the profiled horizon, solve Eq. 3 (memoized
-  /// on the exhaustive path), emit the policy. Bit-identical to the seed
-  /// RoboRunGovernor::decide for every input. Thread-safe; concurrent
-  /// callers only contend per memo shard.
+  /// on the exhaustive path), emit the policy. Bit-identical to the frozen
+  /// reference::RoboRunGovernor::decide (tests/reference_governor.h) for
+  /// every input, with or without the memo. Thread-safe; concurrent callers
+  /// only contend per memo shard.
   GovernorDecision decide(const SpaceProfile& profile);
 
   /// Degraded-sensing fallback: the safe-envelope policy a governor pins
@@ -253,13 +241,10 @@ class DecisionEngine {
   /// may have changed (replan, trajectory cleared, new message).
   void noteTrajectoryChanged(ClientId client = kDefaultClient);
 
-  /// Route Eq. 3 through an alternative strategy (core/strategies.h). The
-  /// built-in memoized exhaustive solver is used when no strategy is set;
-  /// strategy decisions bypass the memo (strategies may carry state) and
-  /// serialize on the strategy lock.
-  void setStrategy(std::unique_ptr<SolverStrategy> strategy);
-  /// Install a strategy by type, bound to this engine's predictor.
-  /// Exhaustive clears back to the built-in memoized solver.
+  /// Route Eq. 3 through an alternative strategy (core/strategies.h), bound
+  /// to this engine's predictor. Exhaustive clears back to the built-in
+  /// memoized solver. Strategy decisions bypass the memo (strategies may
+  /// carry state) and serialize on the strategy lock.
   void selectStrategy(StrategyType type, int patience = 3);
   /// Forget cross-decision strategy state (start of a new mission).
   void resetStrategy();
@@ -273,8 +258,6 @@ class DecisionEngine {
 
   EngineStats stats() const;
   void resetStats();
-  /// Timing of the most recent decide()/decideFromSensors() call.
-  DecisionTiming lastTiming() const;
 
   const KnobConfig& knobs() const { return config_.knobs; }
   const TimeBudgeter& budgeter() const { return budgeter_; }
@@ -289,13 +272,9 @@ class DecisionEngine {
   struct MemoEntry {
     std::uint64_t generation = 0;  ///< 0 = never written
     MemoKey key{};
-    // The enumeration's chosen solution; everything else (deadline,
-    // predicted latency, objective, budget_met) is re-derived exactly.
-    double p0 = 0.0;
-    double p1 = 0.0;
-    std::array<double, 3> volumes{};
-    double latency = 0.0;
-    bool has_solution = false;  ///< false: enumeration admitted no candidate
+    /// The enumeration's pick; everything else (deadline, predicted
+    /// latency, objective, budget_met) is re-derived by resultFor.
+    SolverPick pick;
   };
 
   /// One stripe of the solver memo: its own lock, slots and generation.
@@ -346,39 +325,26 @@ class DecisionEngine {
     std::uint64_t last_used = 0;  ///< LRU tick; guarded by clients_mutex_
   };
 
-  GovernorDecision decideCore(const SpaceProfile& profile, DecisionTiming& timing,
-                              bool& memo_hit);
-  SolverResult solveMemoized(double budget, const SpaceProfile& profile, bool& memo_hit);
-  void enumerate(double knob_budget, const KnobEnvelope& env, MemoEntry& entry) const;
-  SolverResult resultFromEntry(const MemoEntry& entry, double budget,
-                               double knob_budget) const;
+  SolverResult solveMemoized(double budget, const SpaceProfile& profile);
   SpaceProfile profileForClient(ClientState& state, const sim::SensorFrame& frame,
                                 const perception::OccupancyOctree& map,
                                 const planning::Trajectory& trajectory,
                                 const geom::Vec3& position, const geom::Vec3& velocity,
-                                const geom::Vec3& travel_dir, bool& reused);
+                                const geom::Vec3& travel_dir);
   /// Look up (or create, LRU-evicting beyond the pool bound) the slot for a
   /// client key.
   std::shared_ptr<ClientState> clientState(ClientId client);
-  void recordTiming(const DecisionTiming& timing);
-  int ladderIndexOf(double p) const;
 
   Config config_;
   TimeBudgeter budgeter_;
   LatencyPredictor predictor_;
+  GovernorSolver solver_;  ///< bound to predictor_; immutable, so lock-free
 
   // Pluggable strategy (stateful, so serialized): the atomic flag lets the
   // common strategy-less fleet path skip the lock entirely.
   std::unique_ptr<SolverStrategy> strategy_;  ///< guarded by strategy_mutex_
   std::atomic<bool> has_strategy_{false};
   mutable std::mutex strategy_mutex_;
-
-  // Hoisted Eq. 3 candidate tables: for each (lo, hi) ladder interval, the
-  // (l0, l1) pairs in the seed's exact enumeration order. Immutable after
-  // construction (lock-free shared reads).
-  std::array<double, 8> ladder_{};
-  int ladder_levels_ = 0;
-  std::vector<std::vector<std::pair<int, int>>> candidates_;  ///< [lo * 8 + hi]
 
   // Sharded solver memo (allocation-free after construction).
   std::array<MemoShard, kMemoShards> memo_shards_;
@@ -397,14 +363,8 @@ class DecisionEngine {
     std::atomic<std::uint64_t> strategy_decisions{0};
     std::atomic<std::uint64_t> profile_builds{0};
     std::atomic<std::uint64_t> profile_reuses{0};
-    std::atomic<double> profile_wall_ms{0.0};
-    std::atomic<double> budget_wall_ms{0.0};
-    std::atomic<double> solve_wall_ms{0.0};
   };
   AtomicStats stats_;
-
-  DecisionTiming last_timing_;  ///< guarded by timing_mutex_
-  mutable std::mutex timing_mutex_;
 };
 
 }  // namespace roborun::core

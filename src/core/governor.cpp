@@ -2,22 +2,6 @@
 
 namespace roborun::core {
 
-GovernorDecision RoboRunGovernor::decide(const SpaceProfile& profile) {
-  GovernorDecision decision;
-  decision.budget = budgeter_.globalBudget(profile.waypoints);
-
-  SolverInputs inputs;
-  inputs.budget = decision.budget;
-  inputs.fixed_overhead = fixed_overhead_;
-  inputs.profile = profile;
-
-  const SolverResult result = strategy_ ? strategy_->solve(inputs) : solver_.solve(inputs);
-  decision.policy = result.policy;
-  decision.budget_met = result.budget_met;
-  decision.solver_objective = result.objective;
-  return decision;
-}
-
 StaticGovernor::StaticGovernor(const KnobConfig& knobs, const sim::StoppingModel& stopping,
                                const StaticDesign& design) {
   policy_.stage(Stage::Perception) = {knobs.static_point_cloud_precision,

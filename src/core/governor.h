@@ -1,26 +1,20 @@
-// The RoboRun governor (paper Sec. III-D) and the spatial-oblivious static
-// governor it is evaluated against.
+// The decision both governors emit, and the spatial-oblivious static
+// governor RoboRun is evaluated against.
 //
-// Each decision, the RoboRun governor:
-//   1. runs the time budgeter (Eq. 1 + Algorithm 1) over the profiled
-//      waypoint horizon to get the space-induced deadline, and
-//   2. runs the Eq. 3 solver against the Eq. 4 latency model to pick the
-//      six operator knob values that fit that deadline.
+// The RoboRun governor itself (paper Sec. III-D) is core::DecisionEngine
+// (core/decision_engine.h): each decision it runs the time budgeter (Eq. 1 +
+// Algorithm 1) over the profiled waypoint horizon to get the space-induced
+// deadline, then the Eq. 3 solver against the Eq. 4 latency model to pick
+// the six operator knob values that fit that deadline.
 //
 // The static governor returns Table II's worst-case knob column and a fixed
 // design-time deadline/velocity: the worst-case visibility and worst-case
 // pipeline latency a spatially-oblivious designer must assume.
 #pragma once
 
-#include <memory>
-
 #include "core/knob_config.h"
-#include "core/latency_predictor.h"
 #include "core/policy.h"
-#include "core/profilers.h"
-#include "core/solver.h"
-#include "core/strategies.h"
-#include "core/time_budgeter.h"
+#include "sim/stopping_model.h"
 
 namespace roborun::core {
 
@@ -29,58 +23,6 @@ struct GovernorDecision {
   double budget = 0.0;       ///< s; the deadline assigned to this decision
   bool budget_met = false;   ///< solver predicts the policy fits the budget
   double solver_objective = 0.0;
-};
-
-class RoboRunGovernor {
- public:
-  /// By default the fixed per-decision overhead comes from
-  /// knobs.fixed_overhead (the single source); the explicit overload exists
-  /// for ablations that deliberately deviate from the configured value.
-  RoboRunGovernor(const KnobConfig& knobs, const BudgeterConfig& budgeter,
-                  LatencyPredictor predictor)
-      : RoboRunGovernor(knobs, budgeter, std::move(predictor), knobs.fixed_overhead) {}
-  RoboRunGovernor(const KnobConfig& knobs, const BudgeterConfig& budgeter,
-                  LatencyPredictor predictor, double fixed_overhead)
-      : knobs_(knobs),
-        budgeter_(budgeter),
-        predictor_(std::move(predictor)),
-        solver_(knobs_, predictor_),
-        fixed_overhead_(fixed_overhead) {}
-
-  /// decide() is non-const because pluggable strategies may carry state
-  /// across decisions (e.g. hysteresis smoothing).
-  GovernorDecision decide(const SpaceProfile& profile);
-
-  /// Route Eq. 3 solving through an alternative strategy (the default is
-  /// the exhaustive reference solver). The strategy must have been built
-  /// against this governor's predictor(), e.g. via selectStrategy().
-  void setStrategy(std::unique_ptr<SolverStrategy> strategy) {
-    strategy_ = std::move(strategy);
-  }
-  /// Convenience: install a strategy by type, bound to this governor's own
-  /// predictor. Exhaustive clears back to the built-in solver.
-  void selectStrategy(StrategyType type, int patience = 3) {
-    strategy_ = type == StrategyType::Exhaustive
-                    ? nullptr
-                    : makeStrategy(type, knobs_, predictor_, patience);
-  }
-  /// Forget cross-decision strategy state (start of a new mission).
-  void resetStrategy() {
-    if (strategy_) strategy_->reset();
-  }
-
-  const TimeBudgeter& budgeter() const { return budgeter_; }
-  const LatencyPredictor& predictor() const { return predictor_; }
-  const KnobConfig& knobs() const { return knobs_; }
-  double fixedOverhead() const { return fixed_overhead_; }
-
- private:
-  KnobConfig knobs_;
-  TimeBudgeter budgeter_;
-  LatencyPredictor predictor_;
-  GovernorSolver solver_;
-  std::unique_ptr<SolverStrategy> strategy_;  ///< null = built-in solver
-  double fixed_overhead_;
 };
 
 /// Worst-case design assumptions of the spatial-oblivious baseline.

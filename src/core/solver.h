@@ -53,36 +53,21 @@ struct KnobEnvelope {
 /// Evaluate Eq. 3's constraint set for a profile.
 KnobEnvelope computeEnvelope(const KnobConfig& knobs, const SpaceProfile& profile);
 
-/// Monotone line search: largest volume scale s in [0,1] whose total latency
-/// stays within `budget` (stage latencies increase with volume). Writes the
-/// total latency at the chosen scale to `latency_out`. Shared by the
-/// exhaustive GovernorSolver and the DecisionEngine's memoized enumeration —
-/// both must run this exact iteration, or the bit-identical contract between
-/// the two paths breaks.
-template <typename LatencyFn>
-double volumeScaleForBudget(LatencyFn&& latency_of_scale, double budget, double& latency_out) {
-  const double at_full = latency_of_scale(1.0);
-  if (at_full <= budget) {
-    latency_out = at_full;
-    return 1.0;
-  }
-  double lo = 0.0;
-  double hi = 1.0;
-  for (int iter = 0; iter < 24; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (latency_of_scale(mid) <= budget)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  latency_out = latency_of_scale(lo);
-  return lo;
-}
-
 struct SolverResult {
   PipelinePolicy policy;
   double objective = 0.0;   ///< (delta_d - sum delta_i)^2 at the solution
   bool budget_met = false;  ///< predicted latency fits the budget
+};
+
+/// Eq. 3's choice for one (knob budget, envelope): the two precisions, the
+/// three stage volumes and their predicted latency. Everything else in a
+/// SolverResult is a pure function of this plus (budget, fixed_overhead).
+struct SolverPick {
+  double p0 = 0.0;
+  double p1 = 0.0;
+  std::array<double, 3> volumes{};
+  double latency = 0.0;       ///< s; knob latency, fixed overhead excluded
+  bool has_solution = false;  ///< false: the envelope admitted no candidate
 };
 
 class GovernorSolver {
@@ -90,7 +75,18 @@ class GovernorSolver {
   GovernorSolver(const KnobConfig& knobs, const LatencyPredictor& predictor)
       : knobs_(knobs), predictor_(&predictor) {}
 
+  /// computeEnvelope, then pick(), then resultFor().
   SolverResult solve(const SolverInputs& inputs) const;
+
+  /// The Eq. 3 enumeration: every (p0, p1) ladder pair the envelope admits,
+  /// each with the largest volume scale that fits `knob_budget`. A pure
+  /// function of its arguments (and the immutable knobs/predictor), which
+  /// is what lets DecisionEngine memoize it on their bit patterns.
+  SolverPick pick(double knob_budget, const KnobEnvelope& env) const;
+
+  /// The policy, objective and budget_met flag a pick implies for a
+  /// decision with this deadline and fixed overhead.
+  static SolverResult resultFor(const SolverPick& pick, double budget, double fixed_overhead);
 
   const KnobConfig& knobs() const { return knobs_; }
 

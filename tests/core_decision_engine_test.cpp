@@ -1,5 +1,5 @@
-// Unit tests for core::DecisionEngine: governor parity with the live
-// RoboRunGovernor, solver-memo behavior, strategy state across decisions,
+// Unit tests for core::DecisionEngine: governor parity with the frozen
+// reference governor, solver-memo behavior, strategy state across decisions,
 // and the single-sourced fixed_overhead contract (the 0.26/0.27 drift
 // regression).
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/decision_engine.h"
 #include "core/latency_calibration.h"
 #include "geom/rng.h"
+#include "reference_governor.h"
 
 namespace roborun::core {
 namespace {
@@ -89,9 +90,6 @@ TEST(FixedOverheadTest, SingleSourcedAcrossEveryConsumer) {
   EXPECT_DOUBLE_EQ(SolverInputs{}.fixed_overhead, KnobConfig{}.fixed_overhead);
 
   const KnobConfig knobs;
-  const RoboRunGovernor governor(knobs, BudgeterConfig{}, calibrated(knobs));
-  EXPECT_DOUBLE_EQ(governor.fixedOverhead(), knobs.fixed_overhead);
-
   DecisionEngine::Config config;
   config.knobs = knobs;
   const DecisionEngine engine(config, calibrated(knobs));
@@ -101,9 +99,6 @@ TEST(FixedOverheadTest, SingleSourcedAcrossEveryConsumer) {
 TEST(FixedOverheadTest, CustomValuePropagates) {
   KnobConfig knobs;
   knobs.fixed_overhead = 0.4;
-  const RoboRunGovernor governor(knobs, BudgeterConfig{}, calibrated(knobs));
-  EXPECT_DOUBLE_EQ(governor.fixedOverhead(), 0.4);
-
   DecisionEngine::Config config;
   config.knobs = knobs;
   DecisionEngine engine(config, calibrated(knobs));
@@ -117,7 +112,7 @@ TEST(FixedOverheadTest, CustomValuePropagates) {
   EXPECT_GE(decision.policy.predicted_latency, 0.4 - 1e-12);
 }
 
-// --- engine == live governor over random inputs ----------------------------
+// --- engine == frozen reference governor over random inputs -----------------
 
 TEST(DecisionEngineTest, MatchesLiveGovernorOverRandomProfiles) {
   const KnobConfig knobs;
@@ -125,7 +120,7 @@ TEST(DecisionEngineTest, MatchesLiveGovernorOverRandomProfiles) {
   DecisionEngine::Config config;
   config.knobs = knobs;
   DecisionEngine engine(config, predictor);
-  RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
+  reference::RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
 
   Rng rng(7);
   for (int i = 0; i < 100; ++i) {
@@ -153,15 +148,11 @@ TEST(DecisionEngineTest, MemoHitReturnsIdenticalDecisionAndCounts) {
   expectSameDecision(first, third);
 }
 
-TEST(DecisionEngineTest, StatsCountDecisionsAndTiming) {
+TEST(DecisionEngineTest, StatsCountDecisions) {
   DecisionEngine::Config config;
   DecisionEngine engine(config, calibrated());
   for (int i = 0; i < 5; ++i) (void)engine.decide(openSpaceProfile());
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.decisions, 5u);
-  EXPECT_GE(stats.solve_wall_ms, 0.0);
-  const DecisionTiming timing = engine.lastTiming();
-  EXPECT_GE(timing.total_wall_ms, 0.0);
+  EXPECT_EQ(engine.stats().decisions, 5u);
   engine.resetStats();
   EXPECT_EQ(engine.stats().decisions, 0u);
 }
@@ -209,26 +200,6 @@ TEST(DecisionEngineStrategyTest, ResetStrategyClearsHysteresisHistory) {
   expectSameDecision(engine.decide(openSpaceProfile()), fresh.decide(openSpaceProfile()));
 }
 
-TEST(GovernorStrategyStateTest, ResetStrategyOnGovernorClearsHysteresis) {
-  // The same contract on the plain RoboRunGovernor (resetStrategy() is the
-  // start-of-mission hook both runtimes rely on).
-  const KnobConfig knobs;
-  const LatencyPredictor predictor = calibrated(knobs);
-  RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
-  governor.selectStrategy(StrategyType::HysteresisExhaustive, 3);
-
-  const double fine_p0 =
-      governor.decide(congestedProfile()).policy.stage(Stage::Perception).precision;
-  // Held (patience) while the history says "fine".
-  EXPECT_DOUBLE_EQ(governor.decide(openSpaceProfile()).policy.stage(Stage::Perception).precision,
-                   fine_p0);
-  governor.resetStrategy();
-  // History gone: the raw coarse answer passes through at once.
-  RoboRunGovernor fresh(knobs, BudgeterConfig{}, predictor);
-  EXPECT_DOUBLE_EQ(governor.decide(openSpaceProfile()).policy.stage(Stage::Perception).precision,
-                   fresh.decide(openSpaceProfile()).policy.stage(Stage::Perception).precision);
-}
-
 TEST(DecisionEngineStrategyTest, StrategyDecisionsBypassTheMemo) {
   DecisionEngine::Config config;
   DecisionEngine engine(config, calibrated());
@@ -245,7 +216,7 @@ TEST(DecisionEngineStrategyTest, StrategyDecisionsBypassTheMemo) {
 
 TEST(DecisionEngineConcurrencyTest, SharedEngineGivesEachThreadSeedAnswers) {
   // Several threads hammer one engine with their own profile streams; every
-  // answer must equal what a private, memo-less engine computes. Sharing a
+  // answer must equal the frozen reference governor's. Sharing a
   // memo across clients must be observationally invisible.
   const KnobConfig knobs;
   const LatencyPredictor predictor = calibrated(knobs);
@@ -267,7 +238,7 @@ TEST(DecisionEngineConcurrencyTest, SharedEngineGivesEachThreadSeedAnswers) {
   for (auto& th : threads) th.join();
 
   for (int t = 0; t < kThreads; ++t) {
-    RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
+    reference::RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
     Rng rng(1000 + static_cast<std::uint64_t>(t));
     for (int i = 0; i < kDecisions; ++i)
       expectSameDecision(got[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)],
@@ -280,8 +251,8 @@ TEST(DecisionEngineConcurrencyTest, ShardedMemoStaysExactUnderConcurrentMixedKey
   // Concurrent mixed-key traffic over the sharded memo: every thread
   // replays one shared pool of profiles many times in a thread-specific
   // order, so distinct keys race into the same shards and hot keys are
-  // probed while neighbors insert. Answers must stay bit-identical to a
-  // private memo-less engine, and the hit/miss ledger must balance: each
+  // probed while neighbors insert. Answers must stay bit-identical to the
+  // frozen reference governor, and the hit/miss ledger must balance: each
   // distinct key misses at least once, every solve is either a hit or a
   // miss, and replays actually hit (the pool is far smaller than one
   // shard's capacity, so nothing can evict). TSan-clean by construction —
@@ -313,7 +284,7 @@ TEST(DecisionEngineConcurrencyTest, ShardedMemoStaysExactUnderConcurrentMixedKey
   }
   for (auto& th : threads) th.join();
 
-  RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
+  reference::RoboRunGovernor governor(knobs, BudgeterConfig{}, predictor);
   for (int t = 0; t < kThreads; ++t)
     for (int round = 0; round < kRounds; ++round)
       for (std::size_t i = 0; i < pool.size(); ++i)

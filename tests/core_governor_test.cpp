@@ -1,17 +1,18 @@
-// Unit tests for the RoboRun governor and the static (spatial-oblivious)
-// governor.
+// Unit tests for the RoboRun governor (core::DecisionEngine::decide) and the
+// static (spatial-oblivious) governor.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/decision_engine.h"
 #include "core/governor.h"
-#include "core/latency_calibration.h"
+#include "sim/latency_model.h"
 
 namespace roborun::core {
 namespace {
 
-RoboRunGovernor makeGovernor() {
-  const sim::LatencyModel model;
-  auto calib = calibratePredictor(model, KnobConfig{});
-  return RoboRunGovernor(KnobConfig{}, BudgeterConfig{}, std::move(calib.predictor));
+std::shared_ptr<DecisionEngine> makeGovernor() {
+  return DecisionEngine::calibrated(sim::LatencyModel(), DecisionEngine::Config{});
 }
 
 SpaceProfile profileWith(double vis, double gap_avg, double gap_min, double d_obs,
@@ -32,7 +33,7 @@ SpaceProfile profileWith(double vis, double gap_avg, double gap_min, double d_ob
 TEST(RoboRunGovernorTest, OpenSpaceGetsLongDeadlineCoarseKnobs) {
   auto gov = makeGovernor();
   const auto open = profileWith(30.0, 100.0, 100.0, 30.0, 2.5);
-  const auto decision = gov.decide(open);
+  const auto decision = gov->decide(open);
   EXPECT_GT(decision.budget, 5.0);
   EXPECT_DOUBLE_EQ(decision.policy.stage(Stage::Perception).precision, 9.6);
   EXPECT_TRUE(decision.budget_met);
@@ -41,7 +42,7 @@ TEST(RoboRunGovernorTest, OpenSpaceGetsLongDeadlineCoarseKnobs) {
 TEST(RoboRunGovernorTest, CongestionGetsShortDeadlineFineKnobs) {
   auto gov = makeGovernor();
   const auto tight = profileWith(4.0, 2.5, 1.0, 1.5, 1.0);
-  const auto decision = gov.decide(tight);
+  const auto decision = gov->decide(tight);
   EXPECT_LT(decision.budget, 5.0);
   EXPECT_LE(decision.policy.stage(Stage::Perception).precision, 1.2);
 }
@@ -50,13 +51,13 @@ TEST(RoboRunGovernorTest, DeadlineTracksVelocity) {
   auto gov = makeGovernor();
   const auto slow = profileWith(15.0, 100.0, 100.0, 15.0, 0.3);
   const auto fast = profileWith(15.0, 100.0, 100.0, 15.0, 3.0);
-  EXPECT_GT(gov.decide(slow).budget, gov.decide(fast).budget);
+  EXPECT_GT(gov->decide(slow).budget, gov->decide(fast).budget);
 }
 
 TEST(RoboRunGovernorTest, PolicyDeadlineMatchesBudget) {
   auto gov = makeGovernor();
   const auto p = profileWith(12.0, 5.0, 2.0, 4.0, 1.5);
-  const auto decision = gov.decide(p);
+  const auto decision = gov->decide(p);
   EXPECT_DOUBLE_EQ(decision.policy.deadline, decision.budget);
 }
 
@@ -102,7 +103,7 @@ TEST(GovernorContrastTest, DynamicBeatsStaticInOpenSpace) {
   auto gov = makeGovernor();
   const StaticGovernor oblivious(KnobConfig{}, sim::StoppingModel{});
   const auto open = profileWith(30.0, 100.0, 100.0, 30.0, 2.5);
-  const auto dynamic = gov.decide(open);
+  const auto dynamic = gov->decide(open);
   EXPECT_LT(dynamic.policy.predicted_latency,
             oblivious.policy().predicted_latency * 0.25);
 }

@@ -167,8 +167,8 @@ TEST(GovernorEquivalenceTest, MemoHitsAreBitIdenticalToEnumeration) {
 }
 
 TEST(GovernorEquivalenceTest, MemoDisabledStillMatchesReference) {
-  // solver_memo_capacity = 0: every decision enumerates through the hoisted
-  // candidate tables; answers must be unchanged.
+  // solver_memo_capacity = 0: every decision enumerates through
+  // GovernorSolver::pick; answers must be unchanged.
   const KnobConfig knobs;
   const LatencyPredictor predictor = calibrated(knobs);
   DecisionEngine::Config config;
@@ -209,7 +209,7 @@ TEST(GovernorEquivalenceTest, ClearMemoAndResetPreserveAnswers) {
 
 TEST(GovernorEquivalenceTest, CustomKnobConfigsMatchReference) {
   // Non-default ladders / ranges / overheads keep the equivalence: the
-  // hoisted candidate tables and the memo key must not bake in Table II.
+  // enumeration and the memo key must not bake in Table II.
   KnobConfig knobs;
   knobs.voxel_min = 0.25;
   knobs.precision_levels = 5;
