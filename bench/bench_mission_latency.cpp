@@ -7,20 +7,18 @@
 // and — for async — the staleness tally of the map snapshots planning
 // consumed.
 //
-// Workload design. The pipelined executor overlaps octree integration (and
-// the incremental A* prewarm) with planning and flying, so its win scales
-// with perception cost: the full workload runs the paper-fidelity sensor
-// (defaultMissionConfig, 20x14 rays/camera) where integration is worth
-// overlapping, while --smoke keeps the reduced test fidelity for a fast
-// tier-1 gate. Both use AStarIncremental — the planner the worker-side
-// prewarm exists for (RRT* gains nothing from the hint, and on stale-by-one
-// maps its sampling reroutes whole trajectories; flipping RRT* scenarios
-// async is a catalog experiment via the pipeline_async dial, not this
-// bench's comparison). Seeds are pinned to missions where BOTH modes reach
-// the goal: async plans on a snapshot one sweep old, which legitimately
-// reroutes trajectories on marginal worlds, and comparing a reached-goal
-// flight against a timeout or collision measures the world, not the
-// executor.
+// Workload design. The pipelined executor overlaps octree integration with
+// planning and flying, so its win scales with perception cost: the full
+// workload runs the paper-fidelity sensor (defaultMissionConfig, 20x14
+// rays/camera) where integration is worth overlapping, while --smoke keeps
+// the reduced test fidelity for a fast tier-1 gate. Both use the pooled A*
+// planner (on stale-by-one maps RRT*'s sampling reroutes whole
+// trajectories; flipping RRT* scenarios async is a catalog experiment via
+// the pipeline_async dial, not this bench's comparison). Seeds are pinned
+// to missions where BOTH modes reach the goal: async plans on a snapshot
+// one sweep old, which legitimately reroutes trajectories on marginal
+// worlds, and comparing a reached-goal flight against a timeout or
+// collision measures the world, not the executor.
 //
 // Correctness gates (the bench exits nonzero on any failure, so a perf
 // number can never come from a broken pipeline):
@@ -167,7 +165,7 @@ int main(int argc, char** argv) {
     const auto environment = benchEnvironment(seed);
     MissionConfig config = workload.paper_fidelity ? runtime::defaultMissionConfig()
                                                    : runtime::testMissionConfig();
-    config.pipeline.planner_mode = runtime::PlannerMode::AStarIncremental;
+    config.pipeline.planner_mode = runtime::PlannerMode::AStar;
 
     // --- sync: measure, then anchor against the frozen loop ---
     const MissionResult sync_result =
@@ -242,7 +240,7 @@ int main(int argc, char** argv) {
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "  \"workload\": {\n"
        << "    \"env_seeds\": " << workload.env_seeds.size() << ",\n"
-       << "    \"planner\": \"astar_incremental\",\n"
+       << "    \"planner\": \"astar\",\n"
        << "    \"fidelity\": \"" << (workload.paper_fidelity ? "paper" : "test") << "\",\n"
        << "    \"design\": \"roborun\"\n"
        << "  },\n"

@@ -3,19 +3,17 @@
 //
 // Replays one identical sensor-epoch workload (a mission-shaped corridor
 // map that accretes obstacle clusters every epoch, alternating near and far
-// from the flown corridor) through three replan paths:
+// from the flown corridor) through two replan paths, both searching from
+// scratch every epoch:
 //
 //   reference_astar    the frozen seed planner (per-call unordered_map
-//                      bookkeeping; tests/reference_astar.h), replanning
-//                      from scratch every epoch
-//   pooled_astar       the PlannerArena planner, one persistent arena,
-//                      still replanning from scratch every epoch (isolates
-//                      the pooled-bookkeeping + occupancy-memo win)
-//   incremental_astar  AStarIncremental fed the per-epoch dirty regions
-//                      (adds the validated replan-reuse win)
+//                      bookkeeping; tests/reference_astar.h)
+//   pooled_astar       the PlannerArena planner, one persistent arena
+//                      (isolates the pooled-bookkeeping + occupancy-memo
+//                      win)
 //
 // plus an RRT* section timing the arena-backed grid index against the
-// per-call allocation path on the same maps. Every A* variant must answer
+// per-call allocation path on the same maps. Both A* variants must answer
 // identically at every epoch — the bench aborts if they diverge, so a perf
 // number can never come from a wrong plan.
 //
@@ -55,13 +53,8 @@ using perception::VoxelBox;
 constexpr double kPrecision = 0.3;
 constexpr double kInflation = 0.45;
 
-struct Epoch {
-  PlannerMap map{kPrecision, kInflation};
-  Aabb dirty = Aabb::empty();  ///< change vs the previous epoch (cell-covering)
-};
-
 struct Workload {
-  std::vector<Epoch> epochs;
+  std::vector<PlannerMap> epochs;
   Vec3 start{2, 0, 2};
   Vec3 goal{38, 0, 2};
   planning::AStarParams params;
@@ -75,41 +68,35 @@ Workload buildWorkload(bool smoke) {
 
   Rng rng(0xC0FFEEu);
   std::vector<VoxelBox> voxels;
-  auto addCluster = [&](const Vec3& center, int radius_cells, Aabb& dirty) {
+  auto addCluster = [&](const Vec3& center, int radius_cells) {
     for (int dz = -radius_cells; dz <= radius_cells; ++dz)
       for (int dy = -radius_cells; dy <= radius_cells; ++dy)
         for (int dx = -radius_cells; dx <= radius_cells; ++dx) {
           if (!rng.chance(0.7)) continue;
-          const VoxelBox v{{center.x + dx * kPrecision, center.y + dy * kPrecision,
-                            center.z + dz * kPrecision},
-                           kPrecision};
-          voxels.push_back(v);
-          dirty.merge(v.box().lo);
-          dirty.merge(v.box().hi);
+          voxels.push_back(VoxelBox{{center.x + dx * kPrecision, center.y + dy * kPrecision,
+                                     center.z + dz * kPrecision},
+                                    kPrecision});
         }
   };
 
   // Base clutter the first plan must thread.
-  Aabb ignored = Aabb::empty();
-  for (int i = 0; i < 6; ++i)
-    addCluster(rng.uniformInBox({8, -10, 1}, {32, 10, 6}), 2, ignored);
+  for (int i = 0; i < 6; ++i) addCluster(rng.uniformInBox({8, -10, 1}, {32, 10, 6}), 2);
 
   const std::size_t epoch_count = smoke ? 12 : 48;
   for (std::size_t e = 0; e < epoch_count; ++e) {
-    Epoch epoch;
     if (e > 0) {
       // The sensor-epoch shape: most sweeps add map detail away from the
       // corridor (the drone looks around), some drop obstacles onto it.
       if (e % 4 != 0) {
-        addCluster(rng.uniformInBox({6, 12, 0}, {36, 20, 7}), 2, epoch.dirty);
+        addCluster(rng.uniformInBox({6, 12, 0}, {36, 20, 7}), 2);
       } else {
-        addCluster(rng.uniformInBox({10, -4, 1}, {30, 4, 5}), 1, epoch.dirty);
+        addCluster(rng.uniformInBox({10, -4, 1}, {30, 4, 5}), 1);
       }
     }
-    epoch.map = PlannerMap(kPrecision, kInflation);
-    epoch.map.reserve(voxels.size());
-    for (const auto& v : voxels) epoch.map.addVoxel(v);
-    w.epochs.push_back(std::move(epoch));
+    PlannerMap map(kPrecision, kInflation);
+    map.reserve(voxels.size());
+    for (const auto& v : voxels) map.addVoxel(v);
+    w.epochs.push_back(std::move(map));
   }
   return w;
 }
@@ -139,7 +126,6 @@ struct VariantResult {
   double seconds = 1e100;        ///< best-of-reps wall time for the full schedule
   double replans_per_sec = 0.0;
   std::size_t expansions = 0;    ///< total expansions over the schedule (last rep)
-  std::size_t reused = 0;        ///< incremental only: epochs answered from cache
 };
 
 void writeVariant(std::ostream& os, const char* name, const VariantResult& v,
@@ -147,7 +133,7 @@ void writeVariant(std::ostream& os, const char* name, const VariantResult& v,
   os << "    \"" << name << "\": {\"seconds\": " << jsonNumber(v.seconds)
      << ", \"replans\": " << epochs
      << ", \"replans_per_sec\": " << jsonNumber(v.replans_per_sec, 1)
-     << ", \"expansions\": " << v.expansions << ", \"reused\": " << v.reused << "}"
+     << ", \"expansions\": " << v.expansions << "}"
      << (last ? "" : ",") << "\n";
 }
 
@@ -178,10 +164,10 @@ int main(int argc, char** argv) {
   // Reference answers, computed once, compared against every variant below.
   std::vector<planning::AStarResult> expected;
   expected.reserve(epochs);
-  for (const Epoch& e : w.epochs)
-    expected.push_back(planning::reference::planPathAStar(e.map, w.start, w.goal, w.params));
+  for (const PlannerMap& map : w.epochs)
+    expected.push_back(planning::reference::planPathAStar(map, w.start, w.goal, w.params));
 
-  VariantResult reference, pooled, incremental;
+  VariantResult reference, pooled;
   std::size_t mismatches = 0;
   auto checkEpoch = [&](const planning::AStarResult& got, std::size_t epoch) {
     if (!resultsIdentical(got, expected[epoch])) ++mismatches;
@@ -192,7 +178,7 @@ int main(int argc, char** argv) {
     reference.seconds = std::min(reference.seconds, timeIt([&] {
       for (std::size_t e = 0; e < epochs; ++e) {
         const auto r =
-            planning::reference::planPathAStar(w.epochs[e].map, w.start, w.goal, w.params);
+            planning::reference::planPathAStar(w.epochs[e], w.start, w.goal, w.params);
         reference.expansions += r.report.expansions;
         checkEpoch(r, e);
       }
@@ -203,26 +189,14 @@ int main(int argc, char** argv) {
     pooled.seconds = std::min(pooled.seconds, timeIt([&] {
       for (std::size_t e = 0; e < epochs; ++e) {
         const auto r =
-            planning::planPathAStar(w.epochs[e].map, w.start, w.goal, w.params, arena);
+            planning::planPathAStar(w.epochs[e], w.start, w.goal, w.params, arena);
         pooled.expansions += r.report.expansions;
         checkEpoch(r, e);
       }
     }));
-
-    planning::AStarIncremental inc;
-    incremental.expansions = 0;
-    incremental.seconds = std::min(incremental.seconds, timeIt([&] {
-      for (std::size_t e = 0; e < epochs; ++e) {
-        const auto r = inc.plan(w.epochs[e].map, w.start, w.goal, w.params,
-                                w.epochs[e].dirty);
-        incremental.expansions += r.report.expansions;
-        checkEpoch(r, e);
-      }
-    }));
-    incremental.reused = inc.stats().reused;
   }
 
-  for (VariantResult* v : {&reference, &pooled, &incremental})
+  for (VariantResult* v : {&reference, &pooled})
     v->replans_per_sec =
         v->seconds > 0.0 ? static_cast<double>(epochs) / v->seconds : 0.0;
 
@@ -236,7 +210,7 @@ int main(int argc, char** argv) {
   double rrt_fresh_s = 1e100;
   double rrt_arena_s = 1e100;
   {
-    const PlannerMap& map = w.epochs.back().map;
+    const PlannerMap& map = w.epochs.back();
     std::vector<double> fresh_costs, arena_costs;
     for (int rep = 0; rep < reps; ++rep) {
       fresh_costs.clear();
@@ -269,8 +243,6 @@ int main(int argc, char** argv) {
 
   const double speedup_pooled =
       pooled.seconds > 0.0 ? reference.seconds / pooled.seconds : 0.0;
-  const double speedup_incremental =
-      incremental.seconds > 0.0 ? reference.seconds / incremental.seconds : 0.0;
   const double speedup_rrt = rrt_arena_s > 0.0 ? rrt_fresh_s / rrt_arena_s : 0.0;
 
   std::cerr << "planning throughput (" << (smoke ? "smoke" : "full") << ": " << epochs
@@ -279,9 +251,6 @@ int main(int argc, char** argv) {
             << " replans/s\n"
             << "  pooled_astar:      " << jsonNumber(pooled.replans_per_sec, 1)
             << " replans/s  (" << jsonNumber(speedup_pooled, 2) << "x)\n"
-            << "  incremental_astar: " << jsonNumber(incremental.replans_per_sec, 1)
-            << " replans/s  (" << jsonNumber(speedup_incremental, 2) << "x, "
-            << incremental.reused << "/" << epochs << " reused)\n"
             << "  rrt arena reuse:   " << jsonNumber(speedup_rrt, 2) << "x over "
             << rrt_plans << " plans\n";
 
@@ -295,15 +264,13 @@ int main(int argc, char** argv) {
        << ", \"inflation_m\": " << jsonNumber(kInflation, 3) << "},\n";
   json << "  \"variants\": {\n";
   writeVariant(json, "reference_astar", reference, epochs, false);
-  writeVariant(json, "pooled_astar", pooled, epochs, false);
-  writeVariant(json, "incremental_astar", incremental, epochs, true);
+  writeVariant(json, "pooled_astar", pooled, epochs, true);
   json << "  },\n";
   json << "  \"rrt_arena\": {\"plans\": " << rrt_plans
        << ", \"fresh_seconds\": " << jsonNumber(rrt_fresh_s)
        << ", \"arena_seconds\": " << jsonNumber(rrt_arena_s)
        << ", \"speedup\": " << jsonNumber(speedup_rrt, 3) << "},\n";
-  json << "  \"speedup\": {\"pooled_astar\": " << jsonNumber(speedup_pooled, 3)
-       << ", \"incremental_astar\": " << jsonNumber(speedup_incremental, 3) << "},\n";
+  json << "  \"speedup\": {\"pooled_astar\": " << jsonNumber(speedup_pooled, 3) << "},\n";
   json << "  \"planners_agree\": " << (mismatches == 0 ? "true" : "false") << "\n";
   json << "}\n";
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
 
 namespace roborun::core {
 
@@ -45,14 +46,20 @@ struct KnobConfig {
   /// voxmin: the finest voxel size; every legal precision is voxmin * 2^n
   /// (the OctoMap framework constraint in Eq. 3).
   double voxel_min = 0.3;
-  /// Number of power-of-two precision levels (0.3, 0.6, ..., 9.6).
+  /// Number of power-of-two precision levels (0.3, 0.6, ..., 9.6); at most
+  /// kMaxPrecisionLevels.
   int precision_levels = 6;
+  static constexpr int kMaxPrecisionLevels = 8;
 
-  /// The discrete precision ladder {voxmin * 2^n : 0 <= n < levels}.
-  std::array<double, 8> precisionLadder() const {
-    std::array<double, 8> ladder{};
+  /// The discrete precision ladder {voxmin * 2^n : 0 <= n < levels}. Every
+  /// enumeration indexes the returned array up to precision_levels, so a
+  /// level count it cannot hold throws std::invalid_argument here.
+  std::array<double, kMaxPrecisionLevels> precisionLadder() const {
+    if (precision_levels < 1 || precision_levels > kMaxPrecisionLevels)
+      throw std::invalid_argument("KnobConfig::precision_levels must be in [1, 8]");
+    std::array<double, kMaxPrecisionLevels> ladder{};
     double p = voxel_min;
-    for (int i = 0; i < precision_levels && i < 8; ++i) {
+    for (int i = 0; i < precision_levels; ++i) {
       ladder[static_cast<std::size_t>(i)] = p;
       p *= 2.0;
     }

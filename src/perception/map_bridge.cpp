@@ -7,7 +7,7 @@
 namespace roborun::perception {
 
 BridgeResult buildPlannerMap(const OccupancyOctree& tree, const geom::Vec3& position,
-                             const BridgeParams& params, const BridgeDelta* delta) {
+                             const BridgeParams& params) {
   BridgeResult result;
   const double precision = tree.snapPrecision(params.precision);
   const int level = tree.levelForPrecision(precision);
@@ -45,35 +45,6 @@ BridgeResult buildPlannerMap(const OccupancyOctree& tree, const geom::Vec3& posi
   result.report.voxels_dropped = result.report.nodes - result.report.voxels_sent;
   result.report.cull_radius = radius;
 
-  // Dirty region vs the previous epoch's map. The map is a pure function of
-  // (octree, position, radius, precision, inflation): with matching knobs it
-  // can differ from last epoch's map only where the octree changed since
-  // (delta->octree_touched, already cell-covering) and — if the cull sphere
-  // moved or resized — near the sphere boundaries, covered conservatively by
-  // both spheres' boxes. Without a usable delta the conservative
-  // "everything" default set by the PlannerMap constructor stands.
-  if (delta != nullptr && delta->prev_radius >= 0.0 &&
-      delta->prev_precision == precision && delta->prev_inflation == params.inflation) {
-    geom::Aabb dirty = delta->octree_touched;
-    if (!dirty.isEmpty()) {
-      // octree_touched covers the *written* octree cells; the planner map
-      // re-bins occupancy at the (possibly coarser) bridge precision, so a
-      // flipped map cell can extend up to one map cell beyond the touched
-      // region. Widen to the map-cell granularity to keep the dirty
-      // contract (full extents of every changed planner-map cell).
-      dirty.lo = dirty.lo - geom::Vec3{precision, precision, precision};
-      dirty.hi = dirty.hi + geom::Vec3{precision, precision, precision};
-    }
-    if (!(position == delta->prev_position) || radius != delta->prev_radius) {
-      const double pad = precision;
-      for (const auto& [center, r] :
-           {std::pair{position, radius}, std::pair{delta->prev_position, delta->prev_radius}}) {
-        dirty.merge(center - geom::Vec3{r + pad, r + pad, r + pad});
-        dirty.merge(center + geom::Vec3{r + pad, r + pad, r + pad});
-      }
-    }
-    result.msg.map.setDirtyBounds(dirty);
-  }
   return result;
 }
 

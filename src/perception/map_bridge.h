@@ -25,20 +25,6 @@ struct BridgeParams {
   double inflation = 0.7;         ///< m; robot-radius margin of the built map
 };
 
-/// What the caller knows about the previous bridge epoch, so the built map
-/// can carry a bounded dirty region (PlannerMap::dirtyBounds()) instead of
-/// the conservative "everything changed" default. `octree_touched` is the
-/// insertion kernel's OctomapInsertReport::touched since the last bridge
-/// call; prev_* echo the last call's inputs (prev_radius < 0 marks "no
-/// previous epoch").
-struct BridgeDelta {
-  geom::Aabb octree_touched = geom::Aabb::empty();
-  geom::Vec3 prev_position;
-  double prev_radius = -1.0;
-  double prev_precision = -1.0;
-  double prev_inflation = -1.0;
-};
-
 struct BridgeReport {
   /// Occupied voxels of the whole map coarsened to the bridge precision
   /// (OccupancyOctree::occupiedCellCount): the modeled bridge work units.
@@ -54,14 +40,9 @@ struct BridgeResult {
   BridgeReport report;
 };
 
-/// Build the planner's map view around `position`. When `delta` describes
-/// the previous epoch (same snapped precision and inflation), the result
-/// map's dirtyBounds() covers exactly where it can differ from that epoch's
-/// map: the octree cells touched since, plus — if the cull sphere moved or
-/// resized — the cover of both spheres (membership near the boundary can
-/// flip without any octree change). Otherwise dirtyBounds() stays infinite.
+/// Build the planner's map view around `position`: a pure function of the
+/// octree, the position and the knobs.
 BridgeResult buildPlannerMap(const OccupancyOctree& tree, const geom::Vec3& position,
-                             const BridgeParams& params,
-                             const BridgeDelta* delta = nullptr);
+                             const BridgeParams& params);
 
 }  // namespace roborun::perception

@@ -44,8 +44,9 @@ struct OctomapInsertReport {
   double volume_ingested = 0.0;     ///< m^3 actually added this sweep
   /// Conservative cover of every tree cell this sweep may have changed
   /// (integrated-ray extents widened by the written cell size; empty() when
-  /// nothing was integrated). The bridge turns this into the planner map's
-  /// dirty region, which gates the incremental planner's replan reuse.
+  /// nothing was integrated). Its one consumer is the decision engine's
+  /// keyed profile cache (NavigationPipeline::publishPerception forwards it),
+  /// which reuses visibility samples the change cannot have reached.
   geom::Aabb touched = geom::Aabb::empty();
 };
 

@@ -60,23 +60,8 @@ class PlannerMap {
   /// Bounding box of all occupied voxels (empty() box if none).
   const geom::Aabb& occupiedBounds() const { return bounds_; }
 
-  /// Dirty region relative to the previous perception epoch: a conservative
-  /// cover (full cell extents) of every cell whose raw occupancy may differ
-  /// from the map the bridge built last epoch. Set by the bridge when it
-  /// can bound the change; defaults to an infinite box (everything may have
-  /// changed) so standalone maps never fake stability. Consumed by the
-  /// incremental planner's reuse test; geom::Aabb::empty() means "provably
-  /// unchanged".
-  void setDirtyBounds(const geom::Aabb& b) { dirty_bounds_ = b; }
-  const geom::Aabb& dirtyBounds() const { return dirty_bounds_; }
-
  private:
   std::uint64_t key(const Vec3& p) const;
-
-  static geom::Aabb everythingDirty() {
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    return {{-inf, -inf, -inf}, {inf, inf, inf}};
-  }
 
   double precision_;
   double inv_precision_;
@@ -84,7 +69,6 @@ class PlannerMap {
   std::unordered_set<std::uint64_t> cells_;
   std::vector<VoxelBox> coarse_boxes_;
   geom::Aabb bounds_ = geom::Aabb::empty();
-  geom::Aabb dirty_bounds_ = everythingDirty();
 };
 
 /// Comm payload for the serialized map message.

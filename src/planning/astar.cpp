@@ -12,10 +12,6 @@ using geom::Vec3;
 
 constexpr std::uint32_t kNone = PlannerArena::kNone;
 
-/// Maximum dirty-region cell count the incremental planner will probe
-/// exactly against the consulted table before conceding a full replan.
-constexpr double kMaxPreciseDirtyCells = 4096.0;
-
 inline Vec3 latticeCenter(int x, int y, int z, double cell) {
   return Vec3{(x + 0.5) * cell, (y + 0.5) * cell, (z + 0.5) * cell};
 }
@@ -42,7 +38,6 @@ AStarResult planPathAStar(const perception::PlannerMap& map, const Vec3& start,
   {
     const std::uint32_t slot = arena.cellSlot(start_key);
     arena.cellAt(slot).node = arena.newNode(start_key, 0.0, kNone);
-    arena.mergeConsulted(latticeCenter(sx, sy, sz, cell));
     arena.heapPush(latticeCenter(sx, sy, sz, cell).dist(goal), 0);
   }
 
@@ -95,7 +90,6 @@ AStarResult planPathAStar(const perception::PlannerMap& map, const Vec3& start,
       const Vec3 c = latticeCenter(nx, ny, nz, cell);
       ++report.generated;
       if (!params.bounds.contains(c)) continue;
-      arena.mergeConsulted(c);
       const std::uint32_t slot = arena.cellSlot(packLatticeKey(nx, ny, nz));
       PlannerArena::AStarCell& lattice_cell = arena.cellAt(slot);
       // The map is frozen for the duration of the search, so the inflated
@@ -142,142 +136,6 @@ AStarResult planPathAStar(const perception::PlannerMap& map, const Vec3& start,
                           const Vec3& goal, const AStarParams& params) {
   PlannerArena arena;
   return planPathAStar(map, start, goal, params, arena);
-}
-
-bool AStarIncremental::inputsMatch(const perception::PlannerMap& map, const Vec3& start,
-                                   const Vec3& goal, const AStarParams& params) const {
-  if (!has_cached_) return false;
-  // Any change to the search inputs themselves forces a full plan: the
-  // cached search replays bit-exactly only for identical start/goal/params.
-  if (!(start == start_) || !(goal == goal_)) return false;
-  if (params.cell != params_.cell || params.goal_tolerance != params_.goal_tolerance ||
-      params.max_expansions != params_.max_expansions)
-    return false;
-  if (!(params.bounds.lo == params_.bounds.lo) || !(params.bounds.hi == params_.bounds.hi))
-    return false;
-  return map.precision() == map_precision_ && map.inflation() == map_inflation_;
-}
-
-bool AStarIncremental::canReuse(const perception::PlannerMap& map, const Vec3& start,
-                                const Vec3& goal, const AStarParams& params,
-                                const geom::Aabb& dirty) const {
-  if (!inputsMatch(map, start, goal, params)) return false;
-
-  // Nothing changed at all.
-  if (dirty.isEmpty()) return true;
-
-  // The search consults the map through occupiedPoint(center), which probes
-  // up to the inflation radius away from each cell center — widen the dirty
-  // region by that radius so "changed cell near a consulted center" counts.
-  const double r = map.inflation();
-  geom::Aabb dirty_infl{{dirty.lo.x - r, dirty.lo.y - r, dirty.lo.z - r},
-                        {dirty.hi.x + r, dirty.hi.y + r, dirty.hi.z + r}};
-
-  const geom::Aabb& consulted = arena_.consultedBounds();
-  if (!dirty_infl.intersects(consulted)) return true;
-
-  // Exact check: enumerate the lattice cells whose centers fall inside the
-  // widened dirty region (clipped to the consulted bounds) and probe the
-  // arena's consulted table. Only cells the previous search actually looked
-  // at can invalidate it.
-  const double cell = params.cell > 0.0 ? params.cell : map.precision();
-  const double lo[3] = {std::max(dirty_infl.lo.x, consulted.lo.x),
-                        std::max(dirty_infl.lo.y, consulted.lo.y),
-                        std::max(dirty_infl.lo.z, consulted.lo.z)};
-  const double hi[3] = {std::min(dirty_infl.hi.x, consulted.hi.x),
-                        std::min(dirty_infl.hi.y, consulted.hi.y),
-                        std::min(dirty_infl.hi.z, consulted.hi.z)};
-  int kmin[3], kmax[3];
-  double count = 1.0;
-  for (int axis = 0; axis < 3; ++axis) {
-    // Centers (k + 0.5) * cell within [lo, hi] <=> k in [lo/cell - 0.5,
-    // hi/cell - 0.5].
-    const double kmin_d = std::ceil(lo[axis] / cell - 0.5);
-    const double kmax_d = std::floor(hi[axis] / cell - 0.5);
-    if (kmax_d < kmin_d) return true;  // clipped region holds no cell center
-    count *= kmax_d - kmin_d + 1.0;
-    if (count > kMaxPreciseDirtyCells) return false;  // too large to probe: replan
-    kmin[axis] = static_cast<int>(kmin_d);
-    kmax[axis] = static_cast<int>(kmax_d);
-  }
-  for (int z = kmin[2]; z <= kmax[2]; ++z)
-    for (int y = kmin[1]; y <= kmax[1]; ++y)
-      for (int x = kmin[0]; x <= kmax[0]; ++x)
-        if (arena_.consultedCell(packLatticeKey(x, y, z))) return false;
-  return true;
-}
-
-AStarResult AStarIncremental::plan(const perception::PlannerMap& map, const Vec3& start,
-                                   const Vec3& goal, const AStarParams& params,
-                                   const geom::Aabb& dirty) {
-  return plan(map, start, goal, params, dirty, nullptr);
-}
-
-AStarResult AStarIncremental::plan(const perception::PlannerMap& map, const Vec3& start,
-                                   const Vec3& goal, const AStarParams& params,
-                                   const geom::Aabb& dirty, const AStarPrewarmHint* hint) {
-  ++stats_.plans;
-  // A prewarm hint is usable only when it provably describes THIS reuse
-  // question: same search generation (no plan ran since the probe was
-  // captured, so the consulted bounds and the inflation it baked in are
-  // still the live ones) and a bit-identical dirty box. Under those guards
-  // "misses" is exactly the AABB-rejection test canReuse would run, so the
-  // hinted path cannot accept a reuse the unhinted path would reject (or
-  // vice versa) — results stay bit-identical, only the redundant test is
-  // skipped.
-  const bool hint_applies = hint != nullptr && hint->valid &&
-                            hint->generation == generation_ && hint->misses &&
-                            hint->dirty.lo == dirty.lo && hint->dirty.hi == dirty.hi;
-  if (hint_applies && inputsMatch(map, start, goal, params)) {
-    ++stats_.reused;
-    ++stats_.prewarm_hits;
-    return cached_;
-  }
-  if (canReuse(map, start, goal, params, dirty)) {
-    ++stats_.reused;
-    return cached_;
-  }
-  ++stats_.full;
-  ++generation_;  // the consulted record is about to be rebuilt
-  cached_ = planPathAStar(map, start, goal, params, arena_);
-  has_cached_ = true;
-  start_ = start;
-  goal_ = goal;
-  params_ = params;
-  map_precision_ = map.precision();
-  map_inflation_ = map.inflation();
-  return cached_;
-}
-
-AStarPrewarmProbe AStarIncremental::prewarmProbe() const {
-  AStarPrewarmProbe probe;
-  probe.valid = has_cached_;
-  probe.generation = generation_;
-  if (has_cached_) {
-    probe.consulted = arena_.consultedBounds();
-    probe.inflation = map_inflation_;
-  }
-  return probe;
-}
-
-AStarPrewarmHint AStarIncremental::evaluatePrewarm(const AStarPrewarmProbe& probe,
-                                                   const geom::Aabb& dirty) {
-  AStarPrewarmHint hint;
-  hint.valid = probe.valid;
-  hint.generation = probe.generation;
-  hint.dirty = dirty;
-  if (!probe.valid) return hint;
-  if (dirty.isEmpty()) {
-    hint.misses = true;  // nothing changed anywhere
-    return hint;
-  }
-  // Same widening canReuse applies: the search consults the map through
-  // occupiedPoint(center), which probes up to the inflation radius away.
-  const double r = probe.inflation;
-  const geom::Aabb dirty_infl{{dirty.lo.x - r, dirty.lo.y - r, dirty.lo.z - r},
-                              {dirty.hi.x + r, dirty.hi.y + r, dirty.hi.z + r}};
-  hint.misses = !dirty_infl.intersects(probe.consulted);
-  return hint;
 }
 
 }  // namespace roborun::planning

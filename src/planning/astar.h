@@ -69,110 +69,4 @@ AStarResult planPathAStar(const perception::PlannerMap& map, const geom::Vec3& s
 AStarResult planPathAStar(const perception::PlannerMap& map, const geom::Vec3& start,
                           const geom::Vec3& goal, const AStarParams& params);
 
-struct AStarIncrementalStats {
-  std::size_t plans = 0;   ///< replan requests served
-  std::size_t reused = 0;  ///< requests answered from the persisted search
-  std::size_t full = 0;    ///< requests that ran a full search
-  std::size_t prewarm_hits = 0;  ///< reuses short-circuited by a prewarm hint
-};
-
-/// Snapshot of the incremental planner's consulted-region summary, captured
-/// on the planning thread (prewarmProbe()) and safe to hand to ANY thread:
-/// it is a value copy, so evaluating it never touches the live arena. The
-/// async pipeline captures one at integration-submit time and lets the
-/// perception worker pre-compute the dirty-region verdict for the map it is
-/// building, overlapped with the planning thread's current epoch.
-struct AStarPrewarmProbe {
-  bool valid = false;            ///< false when no search is cached
-  std::uint64_t generation = 0;  ///< the search the verdict will apply to
-  geom::Aabb consulted = geom::Aabb::empty();  ///< arena's consulted bounds
-  double inflation = 0.0;        ///< map inflation the search ran under
-};
-
-/// The worker's verdict: "this dirty region, inflated, provably missed the
-/// consulted bounds of search `generation`". plan() accepts it only when
-/// the generation still matches and the dirty box is bit-identical to the
-/// one the verdict was computed for — under those guards the hint can only
-/// short-circuit the AABB-rejection test canReuse would have passed anyway,
-/// so hinted and unhinted plans return bit-identical results.
-struct AStarPrewarmHint {
-  bool valid = false;
-  std::uint64_t generation = 0;
-  geom::Aabb dirty = geom::Aabb::empty();  ///< region the verdict covers
-  bool misses = false;  ///< inflated dirty ∩ consulted bounds == ∅
-};
-
-/// Incremental replan entry point: persists the arena (and the completed
-/// search it holds) across sensor epochs and skips the search entirely when
-/// the map provably did not change anywhere the previous search looked.
-///
-/// Contract: each plan() call passes `dirty` — an AABB covering every
-/// planner-map cell (full cell extents) whose raw occupancy may differ from
-/// the map passed to the *previous* plan() call (geom::Aabb::empty() when
-/// nothing changed; an infinite box when unknown). The planner inflates the
-/// region by the map's query inflation radius and tests it against the
-/// consulted-cell record kept in the arena: first a consulted-bounds AABB
-/// rejection, then (for small regions) an exact per-lattice-cell probe of
-/// the consulted table. Only if no consulted cell can have changed is the
-/// cached result returned — in that case a from-scratch search would replay
-/// the previous one decision-for-decision, so the reuse is bit-exact
-/// (planning_equivalence_test replays arbitrary dirty-region schedules
-/// against from-scratch searches to enforce this). Any change of start,
-/// goal, params or map precision/inflation forces a full search into the
-/// O(1)-cleared arena.
-class AStarIncremental {
- public:
-  AStarResult plan(const perception::PlannerMap& map, const geom::Vec3& start,
-                   const geom::Vec3& goal, const AStarParams& params,
-                   const geom::Aabb& dirty);
-
-  /// plan() with an optional pre-computed dirty-region verdict (null hint =
-  /// identical to the overload above). Bit-identical results either way;
-  /// a usable hint only skips redundant dirty-region work.
-  AStarResult plan(const perception::PlannerMap& map, const geom::Vec3& start,
-                   const geom::Vec3& goal, const AStarParams& params,
-                   const geom::Aabb& dirty, const AStarPrewarmHint* hint);
-
-  /// Capture the consulted-region summary of the currently cached search
-  /// (valid=false when none). Call on the planning thread.
-  AStarPrewarmProbe prewarmProbe() const;
-
-  /// Pure function: evaluate a probe against a dirty region — safe on any
-  /// thread, touches no planner state. The returned hint's `misses` is the
-  /// AABB-rejection half of the reuse test, pre-computed.
-  static AStarPrewarmHint evaluatePrewarm(const AStarPrewarmProbe& probe,
-                                          const geom::Aabb& dirty);
-
-  /// Drop the persisted search (the next plan() runs in full).
-  void invalidate() {
-    has_cached_ = false;
-    ++generation_;
-  }
-
-  const AStarIncrementalStats& stats() const { return stats_; }
-  PlannerArena& arena() { return arena_; }
-  /// Bumped on every full search (and invalidate()): a prewarm hint binds
-  /// to the generation it probed, so a hint can never outlive its search.
-  std::uint64_t generation() const { return generation_; }
-
- private:
-  bool canReuse(const perception::PlannerMap& map, const geom::Vec3& start,
-                const geom::Vec3& goal, const AStarParams& params,
-                const geom::Aabb& dirty) const;
-  /// The input-equality half of canReuse (everything except the dirty test).
-  bool inputsMatch(const perception::PlannerMap& map, const geom::Vec3& start,
-                   const geom::Vec3& goal, const AStarParams& params) const;
-
-  PlannerArena arena_;
-  AStarResult cached_;
-  bool has_cached_ = false;
-  geom::Vec3 start_;
-  geom::Vec3 goal_;
-  AStarParams params_;
-  double map_precision_ = 0.0;
-  double map_inflation_ = 0.0;
-  std::uint64_t generation_ = 0;
-  AStarIncrementalStats stats_;
-};
-
 }  // namespace roborun::planning

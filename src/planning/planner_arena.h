@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "geom/aabb.h"
 #include "geom/vec3.h"
 
 namespace roborun::planning {
@@ -250,16 +249,10 @@ class PlannerArena {
     astar_cells_.clear();
     astar_nodes_.clear();
     astar_heap_.clear();
-    consulted_ = geom::Aabb::empty();
   }
 
   std::uint32_t cellSlot(std::uint64_t key) { return astar_cells_.findOrCreate(key); }
   AStarCell& cellAt(std::uint32_t slot) { return astar_cells_.payload(slot); }
-  /// Was this lattice cell consulted (bounds-passed neighbor or start) by
-  /// the search currently held in the arena?
-  bool consultedCell(std::uint64_t key) const {
-    return astar_cells_.find(key) != decltype(astar_cells_)::kNoSlot;
-  }
 
   std::uint32_t newNode(std::uint64_t key, double g, std::uint32_t parent) {
     astar_nodes_.push_back(AStarNode{key, g, parent});
@@ -268,11 +261,6 @@ class PlannerArena {
   AStarNode& node(std::uint32_t index) { return astar_nodes_[index]; }
   const AStarNode& node(std::uint32_t index) const { return astar_nodes_[index]; }
   std::size_t nodeCount() const { return astar_nodes_.size(); }
-
-  /// AABB over the centers of every consulted cell; merged as cells enter
-  /// the table, read by the incremental planner's dirty-region test.
-  void mergeConsulted(const geom::Vec3& center) { consulted_.merge(center); }
-  const geom::Aabb& consultedBounds() const { return consulted_; }
 
   // Open list: (f, node index) entries ordered by std::push_heap/pop_heap
   // with an f-only comparator — the exact algorithms std::priority_queue
@@ -296,7 +284,6 @@ class PlannerArena {
   StampedTable<AStarCell> astar_cells_;
   std::vector<AStarNode> astar_nodes_;
   std::vector<HeapEntry> astar_heap_;
-  geom::Aabb consulted_ = geom::Aabb::empty();
 
   BucketGrid rrt_grid_;
   StampedSet rrt_explored_;

@@ -31,7 +31,6 @@ void EpochExecutor::submit(std::uint64_t epoch, const sim::SensorFrame& frame,
     task_.policy = policy;
     task_.traj_positions = pipeline_.follower().trajectory().positions();
     task_.recovery_inflation = recovery_inflation;
-    task_.probe = pipeline_.prewarmProbe();
     task_.epoch = epoch;
     task_ready_ = true;
     in_flight_ = true;
@@ -81,8 +80,6 @@ void EpochExecutor::workerLoop() {
       slot.epoch = task.epoch;
       slot.perception = pipeline_.integrateSweep(task.frame, task.position, task.policy,
                                                  task.traj_positions, task.recovery_inflation);
-      slot.hint = planning::AStarIncremental::evaluatePrewarm(
-          task.probe, slot.perception.map_msg.map.dirtyBounds());
     } catch (...) {
       error = std::current_exception();
     }

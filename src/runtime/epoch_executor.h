@@ -18,18 +18,11 @@
 // submits later, by which time the caller has moved on.
 //
 // Ownership split while a sweep is in flight (submit -> await): the worker
-// owns the pipeline's world model (octree + bridge delta) through
-// NavigationPipeline::integrateSweep; the caller owns everything else
-// (engine, follower, planner state, RNG, goal override). The worker
-// never touches the caller's side — the inputs it needs from it (planned
-// path, recovery flag, prewarm probe) are captured by value at submit().
-//
-// While it integrates, the worker also pre-computes the incremental A*
-// planner's dirty-region verdict (AStarIncremental::evaluatePrewarm)
-// against the probe captured at submit — so by the time the snapshot is
-// consumed, the planner can skip its own dirty-region test when the
-// verdict provably still applies (bit-identical either way; planning/
-// astar.h documents the guards).
+// owns only the pipeline's octree, through NavigationPipeline::
+// integrateSweep; the caller owns everything else (engine, follower,
+// planner arena, RNG, goal override). The worker never touches the
+// caller's side — the inputs it needs from it (planned path, recovery
+// flag) are captured by value at submit().
 //
 // Errors thrown by the worker are stashed and rethrown from await() on the
 // caller's thread (mission fault semantics stay intact: a poisoned or
@@ -44,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "planning/astar.h"
 #include "runtime/pipeline.h"
 #include "sim/sensor.h"
 
@@ -52,12 +44,10 @@ namespace roborun::runtime {
 
 class EpochExecutor {
  public:
-  /// A published sweep: the epoch it integrated, its perception products,
-  /// and the pre-computed prewarm verdict for its dirty bounds.
+  /// A published sweep: the epoch it integrated and its perception products.
   struct Snapshot {
     std::uint64_t epoch = 0;
     PerceptionOutcome perception;
-    planning::AStarPrewarmHint hint;
   };
 
   explicit EpochExecutor(NavigationPipeline& pipeline);
@@ -67,9 +57,9 @@ class EpochExecutor {
   EpochExecutor& operator=(const EpochExecutor&) = delete;
 
   /// Hand sweep `epoch` to the worker. Captures the pipeline's current
-  /// planned path and prewarm probe by value on the calling thread, then
-  /// returns immediately. Exactly one sweep may be in flight: submitting
-  /// while pending() throws std::logic_error.
+  /// planned path by value on the calling thread, then returns
+  /// immediately. Exactly one sweep may be in flight: submitting while
+  /// pending() throws std::logic_error.
   void submit(std::uint64_t epoch, const sim::SensorFrame& frame, const geom::Vec3& position,
               const core::PipelinePolicy& policy, bool recovery_inflation);
 
@@ -91,7 +81,6 @@ class EpochExecutor {
     core::PipelinePolicy policy;
     std::vector<geom::Vec3> traj_positions;
     bool recovery_inflation = false;
-    planning::AStarPrewarmProbe probe;
     std::uint64_t epoch = 0;
   };
 

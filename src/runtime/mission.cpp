@@ -233,8 +233,8 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
         pipeline.publishPerception(snapshot->perception);
       }
       staleness = epoch - static_cast<std::size_t>(snapshot->epoch);
-      outcome = pipeline.planStage(snapshot->perception, pos, decision.policy,
-                                   runtime_latency, &snapshot->hint);
+      outcome =
+          pipeline.planStage(snapshot->perception, pos, decision.policy, runtime_latency);
     } else {
       outcome = pipeline.decide(frame, pos, decision.policy, runtime_latency);
     }

@@ -82,7 +82,7 @@ struct MissionConfig {
 
   /// Reflexive proximity bumper against movers (brake on short
   /// time-to-contact, sidestep out of a mover's bubble). Models the fast
-  /// sub-pipeline obstacle reflex of real MAVs; only consulted when
+  /// sub-pipeline obstacle reflex of real MAVs; only read when
   /// dynamic_obstacles is non-empty.
   bool proximity_guard = true;
 

@@ -116,7 +116,7 @@ DecisionOutcome NavigationPipeline::decide(const sim::SensorFrame& frame, const 
   const PerceptionOutcome perception =
       integrateSweep(frame, position, policy, traj_positions, goal_override_.has_value());
   publishPerception(perception);
-  return planStage(perception, position, policy, runtime_latency, nullptr);
+  return planStage(perception, position, policy, runtime_latency);
 }
 
 PerceptionOutcome NavigationPipeline::integrateSweep(const sim::SensorFrame& frame,
@@ -155,15 +155,7 @@ PerceptionOutcome NavigationPipeline::integrateSweep(const sim::SensorFrame& fra
   // it physically flew, or backtracking out of dead ends is impossible.
   // (Passed in as a flag: the async worker must not read goal_override_.)
   if (recovery_inflation) bp.inflation = 0.45;
-  // Hand the bridge this epoch's octree delta and the previous epoch's cull
-  // inputs so the built map carries a bounded dirty region (consumed by the
-  // incremental planner; inert in the other modes).
-  bridge_delta_.octree_touched = out.octomap_report.touched;
-  auto bridge = perception::buildPlannerMap(*octree_, position, bp, &bridge_delta_);
-  bridge_delta_.prev_position = position;
-  bridge_delta_.prev_radius = bridge.report.cull_radius;
-  bridge_delta_.prev_precision = bridge.msg.map.precision();
-  bridge_delta_.prev_inflation = bp.inflation;
+  auto bridge = perception::buildPlannerMap(*octree_, position, bp);
   out.bridge_report = bridge.report;
   out.latencies.bridge = latency_model_.bridge(bridge.report.nodes);
   out.latencies.comm_map = config_.comm.cost(perception::byteSizeOf(bridge.msg));
@@ -173,20 +165,15 @@ PerceptionOutcome NavigationPipeline::integrateSweep(const sim::SensorFrame& fra
 
 void NavigationPipeline::publishPerception(const PerceptionOutcome& perception) {
   obs::ScopedSpan obs_span(config_.spans, obs::Stage::Publish);
-  // Feed the governor core's incremental profiler the same dirty region the
-  // incremental planner consumes: everything this sweep may have changed.
+  // Feed the governor core's incremental profiler everything this sweep
+  // may have changed.
   if (engine_) engine_->noteMapChanged(perception.octomap_report.touched, engine_client_);
-  // This sweep's map change joins the pending dirty set whether or not the
-  // next plan stage replans — the incremental planner must see every change
-  // since it last ran, not just the final epoch's.
-  pending_plan_dirty_.merge(perception.map_msg.map.dirtyBounds());
 }
 
 DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perception,
                                               const Vec3& position,
                                               const core::PipelinePolicy& policy,
-                                              double runtime_latency,
-                                              const planning::AStarPrewarmHint* hint) {
+                                              double runtime_latency) {
   obs::ScopedSpan obs_span(config_.spans, obs::Stage::Plan);
   DecisionOutcome out;
   out.latencies = perception.latencies;
@@ -252,15 +239,8 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
       ap.cell = 0.0;  // the map's own snapped precision
       ap.goal_tolerance = config_.astar_goal_tolerance;
       ap.max_expansions = config_.astar_max_expansions;
-      planning::AStarResult astar;
-      if (config_.planner_mode == PlannerMode::AStarIncremental) {
-        astar = astar_incremental_.plan(planner_map, position, local_goal, ap,
-                                        pending_plan_dirty_, hint);
-        pending_plan_dirty_ = geom::Aabb::empty();  // consumed by this plan()
-      } else {
-        astar = planning::planPathAStar(planner_map, position, local_goal, ap,
-                                        config_.shared_arena ? *config_.shared_arena : arena_);
-      }
+      auto astar = planning::planPathAStar(planner_map, position, local_goal, ap,
+                                           config_.shared_arena ? *config_.shared_arena : arena_);
       out.astar_report = astar.report;
       planning_steps += astar.report.generated;
       plan_found = astar.report.found;

@@ -35,11 +35,11 @@ namespace roborun::runtime {
 
 /// Which planner fills the planning stage. RrtStar is the paper's design
 /// and the default — mission results in this mode are byte-identical to the
-/// seed. The A* modes run the deterministic pooled lattice planner instead
-/// (same maps, same smoothing); AStarIncremental additionally persists the
-/// search across sensor epochs and skips replans the bridge's dirty region
-/// provably cannot have affected (planning/astar.h).
-enum class PlannerMode { RrtStar, AStar, AStarIncremental };
+/// seed. AStar runs the deterministic pooled lattice planner instead (same
+/// maps, same smoothing), searching from scratch on every replan.
+/// AStarIncremental is a deprecated alias of AStar kept for callers that
+/// still name it; it selects the identical planner.
+enum class PlannerMode { RrtStar, AStar, AStarIncremental = AStar };
 
 /// How the mission runner schedules the pipeline's stages within an epoch.
 /// Both modes run the one mission loop (runtime::runMission); Async is a
@@ -99,8 +99,7 @@ struct PipelineConfig {
   /// fleet scheduler keep steady-state replanning allocation-free across
   /// missions. The arena is not synchronized: it must never be lent to two
   /// concurrently deciding pipelines. Null (the default) keeps the
-  /// pipeline's private arena. The incremental A* cache stays per-pipeline
-  /// either way (it persists search state tied to this pipeline's map).
+  /// pipeline's private arena.
   planning::PlannerArena* shared_arena = nullptr;
   /// Observability hook: when non-null, the pipeline's stage methods (and
   /// the mission loop / epoch executor driving them) record epoch-stamped
@@ -161,7 +160,7 @@ class NavigationPipeline {
 
   /// Perception half of a decision: downsample the sweep, integrate it into
   /// the octree, rebuild the planner map through the bridge. Mutates ONLY
-  /// the world-model state (octree_ + bridge_delta_) — no publishing, no
+  /// the world-model state (octree_) — no publishing, no
   /// engine notes, no RNG — so the epoch executor may run it on its worker
   /// thread while the calling thread governs/plans/flies on the previously
   /// published snapshot. `traj_positions` is the planned path to prioritize
@@ -175,8 +174,7 @@ class NavigationPipeline {
                                    bool recovery_inflation);
 
   /// Publish a sweep's outputs into this pipeline's side effects: the
-  /// engine's map-change note and the pending dirty region the incremental
-  /// planner consumes. Caller's thread only — this is the moment an
+  /// engine's map-change note. Caller's thread only — this is the moment an
   /// integrated sweep becomes visible to governing and planning (async
   /// calls it when it consumes a snapshot; sync right after integrateSweep).
   void publishPerception(const PerceptionOutcome& perception);
@@ -184,18 +182,9 @@ class NavigationPipeline {
   /// Planning half of a decision: replan check against `perception`'s map,
   /// plan + smooth if needed, charge planning/comm latencies. Copies
   /// `perception`'s latencies/reports into the returned outcome so one
-  /// DecisionOutcome per epoch keeps its sync shape. `hint`
-  /// (nullable) is a pre-computed dirty-region verdict for the incremental
-  /// A* planner — results are bit-identical with or without it (see
-  /// planning/astar.h); only AStarIncremental mode consults it.
+  /// DecisionOutcome per epoch keeps its sync shape.
   DecisionOutcome planStage(const PerceptionOutcome& perception, const geom::Vec3& position,
-                            const core::PipelinePolicy& policy, double runtime_latency,
-                            const planning::AStarPrewarmHint* hint);
-
-  /// Snapshot the incremental planner's consulted-region summary (for the
-  /// async executor's prewarm: evaluated off-thread against the dirty
-  /// bounds of the sweep being integrated). Calling thread only.
-  planning::AStarPrewarmProbe prewarmProbe() const { return astar_incremental_.prewarmProbe(); }
+                            const core::PipelinePolicy& policy, double runtime_latency);
 
   /// Install the shared decision engine this pipeline governs through.
   /// The pipeline acquires its own profiling client key from the engine
@@ -253,17 +242,10 @@ class NavigationPipeline {
   std::shared_ptr<core::DecisionEngine> engine_;
   /// This pipeline's key into the engine's keyed profile cache.
   core::DecisionEngine::ClientId engine_client_ = core::DecisionEngine::kDefaultClient;
-  // Persistent planner state: one arena reused by every replan of this
-  // pipeline (RRT* tree/grid or pooled A*), plus the incremental planner's
-  // own persisted search, plus what the bridge needs to bound each epoch's
-  // dirty region against the previous one.
+  // Persistent planner storage: one arena reused by every replan of this
+  // pipeline (RRT* tree/grid or pooled A*) unless the config lends one.
+  // Only storage persists — every search starts from scratch.
   planning::PlannerArena arena_;
-  planning::AStarIncremental astar_incremental_;
-  perception::BridgeDelta bridge_delta_;
-  /// Dirty regions accumulated since the incremental planner last ran: its
-  /// contract is "changes since the previous plan() call", and epochs whose
-  /// decisions do not replan still mutate the map.
-  geom::Aabb pending_plan_dirty_ = geom::Aabb::empty();
   geom::Rng rng_;
   sim::LatencyModel latency_model_;
 };

@@ -141,7 +141,7 @@ MissionResult readTrace(std::istream& in) {
         mission.status = static_cast<MissionStatus>(code);
         saw_status = true;
       }
-      // Legacy bool keys (pre-status traces): only consulted until a
+      // Legacy bool keys (pre-status traces): only read until a
       // `status` key has been seen; TimedOut covers the all-false reading.
       else if (key == "reached_goal" && !saw_status && value != 0.0)
         mission.status = MissionStatus::ReachedGoal;

@@ -145,8 +145,6 @@ void addTiles(Compositor& c, const JsonValue& bench) {
     tiles.push_back({fmtValue(v * 100.0, 3) + "%", "fleet solver memo hit rate"});
   if (benchNumber(bench, "fleet_throughput/store/warm_hit_rate", v))
     tiles.push_back({fmtValue(v * 100.0, 3) + "%", "result store warm hit rate"});
-  if (benchNumber(bench, "planning_throughput/speedup/incremental_astar", v))
-    tiles.push_back({fmtValue(v, 3) + "x", "incremental A* vs reference"});
   if (benchNumber(bench, "governor_throughput/speedup/engine_memoized", v))
     tiles.push_back({fmtValue(v, 3) + "x", "memoized governor vs reference"});
   if (benchNumber(bench, "mission_latency/speedup_wall", v))
@@ -190,10 +188,8 @@ void addSpeedupBars(Compositor& c, const JsonValue& bench) {
   PlotOptions opts;
   opts.width = c.width - 48;
   opts.height = 280;
-  // The 50x incremental-A* outlier lives in a tile above; charting it here
-  // would flatten every other bar to a sliver.
-  SvgBarChart chart("Subsystem speedups vs frozen references (incremental A* in tile)",
-                    "speedup (x)", {"speedup"}, opts);
+  SvgBarChart chart("Subsystem speedups vs frozen references", "speedup (x)",
+                    {"speedup"}, opts);
   std::size_t added = 0;
   for (const auto& t : kTrends) {
     double v = 0.0;

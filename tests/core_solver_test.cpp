@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/latency_calibration.h"
 #include "core/latency_predictor.h"
@@ -61,6 +62,20 @@ TEST(KnobConfigTest, PrecisionLadderIsPowersOfTwo) {
     const double expected = 0.3 * std::pow(2.0, i);
     EXPECT_DOUBLE_EQ(ladder[static_cast<std::size_t>(i)], expected);
   }
+}
+
+// The ladder array holds 8 rungs and every enumeration indexes it up to
+// precision_levels, so a level count outside [1, 8] must be refused rather
+// than read past the array (or leave an empty ladder).
+TEST(KnobConfigTest, PrecisionLadderRejectsLevelsItCannotHold) {
+  KnobConfig k;
+  k.precision_levels = 9;
+  EXPECT_THROW(k.precisionLadder(), std::invalid_argument);
+  EXPECT_THROW(calibratePredictor(sim::LatencyModel{}, k), std::invalid_argument);
+  k.precision_levels = 0;
+  EXPECT_THROW(k.precisionLadder(), std::invalid_argument);
+  k.precision_levels = 8;
+  EXPECT_DOUBLE_EQ(k.precisionLadder()[7], 38.4);
 }
 
 TEST(KnobConfigTest, SnapDownRoundsToFinerRung) {

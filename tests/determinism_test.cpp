@@ -132,14 +132,14 @@ TEST(DeterminismTest, BaselineRepeatsBitwise) {
   EXPECT_TRUE(resultsIdentical(first, second));
 }
 
-// Missions driven by the persistent-state planner modes must replay
-// bitwise too: the arena and the incremental cache are per-pipeline state,
-// reset with the mission, never shared across missions.
-TEST(DeterminismTest, IncrementalAStarMissionRepeatsBitwise) {
+// Missions driven by the pooled A* planner must replay bitwise too: its
+// arena is per-pipeline storage, reset on every search, never shared across
+// missions.
+TEST(DeterminismTest, AStarMissionRepeatsBitwise) {
   const env::Environment environment = env::generateEnvironment(shortSpec(11));
   runtime::MissionConfig config = runtime::smokeMissionConfig();
   config.seed = 7;
-  config.pipeline.planner_mode = runtime::PlannerMode::AStarIncremental;
+  config.pipeline.planner_mode = runtime::PlannerMode::AStar;
   const auto first = runtime::runMission(environment, runtime::DesignType::RoboRun, config);
   const auto second = runtime::runMission(environment, runtime::DesignType::RoboRun, config);
   ASSERT_GT(first.decisions(), 0u);
@@ -149,9 +149,7 @@ TEST(DeterminismTest, IncrementalAStarMissionRepeatsBitwise) {
 // The pipelined execution mode must honor the same replayability contract:
 // a worker thread integrating sweeps one epoch ahead is still a
 // deterministic schedule (the loop synchronizes on epoch boundaries, never
-// on wall time), so async re-runs must be bitwise identical — including
-// with the incremental planner's prewarm hints in play, which are
-// guaranteed bit-inert (planning/astar.h).
+// on wall time), so async re-runs must be bitwise identical.
 TEST(DeterminismTest, AsyncPipelineRepeatsBitwise) {
   const env::Environment environment = env::generateEnvironment(shortSpec(11));
   runtime::MissionConfig config = runtime::smokeMissionConfig();
@@ -163,12 +161,12 @@ TEST(DeterminismTest, AsyncPipelineRepeatsBitwise) {
   EXPECT_TRUE(resultsIdentical(first, second));
 }
 
-TEST(DeterminismTest, AsyncIncrementalAStarRepeatsBitwise) {
+TEST(DeterminismTest, AsyncAStarRepeatsBitwise) {
   const env::Environment environment = env::generateEnvironment(shortSpec(11));
   runtime::MissionConfig config = runtime::smokeMissionConfig();
   config.seed = 7;
   config.pipeline.execution = runtime::ExecutionMode::Async;
-  config.pipeline.planner_mode = runtime::PlannerMode::AStarIncremental;
+  config.pipeline.planner_mode = runtime::PlannerMode::AStar;
   const auto first = runtime::runMission(environment, runtime::DesignType::RoboRun, config);
   const auto second = runtime::runMission(environment, runtime::DesignType::RoboRun, config);
   ASSERT_GT(first.decisions(), 0u);
@@ -249,12 +247,12 @@ TEST(DeterminismTest, AsyncGoldenDigests) {
   const Case cases[] = {
       {"roborun_rrt", DesignType::RoboRun, planner(PlannerMode::RrtStar),
        0xc2c7703a144da052ULL},
-      {"roborun_astar_inc", DesignType::RoboRun, planner(PlannerMode::AStarIncremental),
+      {"roborun_astar", DesignType::RoboRun, planner(PlannerMode::AStar),
        0x3cab322d6b1d4f82ULL},
       {"oblivious_rrt", DesignType::SpatialOblivious, planner(PlannerMode::RrtStar),
        0xbebdd44097b12c92ULL},
-      {"oblivious_astar_inc", DesignType::SpatialOblivious,
-       planner(PlannerMode::AStarIncremental), 0x5aa0d7988f366601ULL},
+      {"oblivious_astar", DesignType::SpatialOblivious, planner(PlannerMode::AStar),
+       0x5aa0d7988f366601ULL},
       {"roborun_faults", DesignType::RoboRun, faults, 0xcb2349a29176fefdULL},
       {"roborun_cross_traffic", DesignType::RoboRun, movers, 0xc19674b0fbb2c60eULL},
   };
@@ -277,7 +275,7 @@ TEST(DeterminismTest, PaperFidelityGoldenDigests) {
   const env::Environment environment = env::generateEnvironment(spec);
   runtime::MissionConfig paper = runtime::defaultMissionConfig();
   paper.max_mission_time = 60.0;
-  paper.pipeline.planner_mode = runtime::PlannerMode::AStarIncremental;
+  paper.pipeline.planner_mode = runtime::PlannerMode::AStar;
   auto mode = [&paper](runtime::ExecutionMode execution) {
     runtime::MissionConfig config = paper;
     config.pipeline.execution = execution;
@@ -314,13 +312,13 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
   EXPECT_FALSE(resultsIdentical(a, b));
 }
 
-// --- Incremental planner determinism ---------------------------------------
+// --- Pooled planner determinism --------------------------------------------
 //
-// The AStarIncremental entry point persists search state across epochs; its
+// A mission's A* replans share one persistent PlannerArena; its
 // replayability contract is the same as the mission's: an identical seed
-// (deciding the obstacle/dirty-region schedule) must produce bitwise-
-// identical AStarResults at every epoch, on every run, regardless of how
-// many sibling planners run concurrently on other threads.
+// (deciding the obstacle schedule) must produce bitwise-identical
+// AStarResults at every epoch, on every run, regardless of how many sibling
+// planners run concurrently on other threads.
 
 ::testing::AssertionResult astarResultsIdentical(const planning::AStarResult& a,
                                                  const planning::AStarResult& b) {
@@ -339,48 +337,44 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
   return ::testing::AssertionSuccess();
 }
 
-/// Replay a seed-derived dirty-region schedule through one AStarIncremental
-/// and collect every epoch's result.
-std::vector<planning::AStarResult> runIncrementalSchedule(std::uint64_t seed) {
+/// Replay a seed-derived obstacle schedule through planPathAStar on one
+/// persistent arena and collect every epoch's result.
+std::vector<planning::AStarResult> runPooledSchedule(std::uint64_t seed) {
   geom::Rng rng(seed * 6364136223846793005ULL + 1442695040888963407ULL);
   const double precision = 0.3;
   std::vector<perception::VoxelBox> voxels;
   planning::AStarParams params;
   params.bounds = geom::Aabb{{-4, -20, 0}, {44, 20, 9}};
   params.cell = 0.75;
-  planning::AStarIncremental planner;
+  planning::PlannerArena arena;
   std::vector<planning::AStarResult> results;
   for (int epoch = 0; epoch < 10; ++epoch) {
-    geom::Aabb dirty = geom::Aabb::empty();
     if (epoch > 0) {
       // One voxel cluster per epoch, alternating near and far from the
-      // corridor so both the reuse and the full-replan path execute.
+      // corridor.
       const geom::Vec3 c = epoch % 2 == 0 ? rng.uniformInBox({12, -3, 1}, {28, 3, 5})
                                           : rng.uniformInBox({6, 12, 0}, {34, 18, 7});
       for (int i = 0; i < 12; ++i) {
         const geom::Vec3 p = c + rng.uniformInBox({-0.9, -0.9, -0.9}, {0.9, 0.9, 0.9});
-        const perception::VoxelBox v{p, precision};
-        voxels.push_back(v);
-        dirty.merge(v.box().lo);
-        dirty.merge(v.box().hi);
+        voxels.push_back(perception::VoxelBox{p, precision});
       }
     }
     perception::PlannerMap map(precision, 0.45);
     for (const auto& v : voxels) map.addVoxel(v);
-    results.push_back(planner.plan(map, {2, 0, 2}, {38, 0, 2}, params, dirty));
+    results.push_back(planning::planPathAStar(map, {2, 0, 2}, {38, 0, 2}, params, arena));
   }
   return results;
 }
 
-TEST(DeterminismTest, IncrementalPlannerRepeatsBitwise) {
-  const auto first = runIncrementalSchedule(31);
-  const auto second = runIncrementalSchedule(31);
+TEST(DeterminismTest, PooledPlannerRepeatsBitwise) {
+  const auto first = runPooledSchedule(31);
+  const auto second = runPooledSchedule(31);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_TRUE(astarResultsIdentical(first[i], second[i])) << "epoch " << i;
 }
 
-TEST(DeterminismTest, IncrementalPlannerIndependentOfThreadCount) {
+TEST(DeterminismTest, PooledPlannerIndependentOfThreadCount) {
   constexpr std::size_t kSchedules = 4;
   const auto runGrid = [](unsigned threads) {
     std::vector<std::vector<planning::AStarResult>> results(kSchedules);
@@ -389,7 +383,7 @@ TEST(DeterminismTest, IncrementalPlannerIndependentOfThreadCount) {
       for (;;) {
         const std::size_t i = next.fetch_add(1);
         if (i >= kSchedules) return;
-        results[i] = runIncrementalSchedule(100 + i);
+        results[i] = runPooledSchedule(100 + i);
       }
     };
     std::vector<std::thread> pool;

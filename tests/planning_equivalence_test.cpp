@@ -6,13 +6,6 @@
 // contract that lets the arena refactor (and the occupancy memoization and
 // heap pooling inside it) land without perturbing a single planner answer.
 //
-// The incremental entry point gets the same treatment: arbitrary
-// dirty-region schedules (obstacle insertions and removals, near and far
-// from the searched corridor, plus unknown-extent epochs) are replayed
-// through AStarIncremental and through from-scratch searches, asserting
-// bitwise-identical AStarResults — reuse is only legal when it is
-// indistinguishable from replanning.
-//
 // Registered under tier2; the sanitizer CI lane runs it with
 // -DROBORUN_SANITIZE=address;undefined to exercise the arena's stamped
 // tables and pool recycling under ASan/UBSan.
@@ -20,7 +13,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "geom/rng.h"
@@ -59,11 +51,9 @@ bool bitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) =
   return ::testing::AssertionSuccess();
 }
 
-/// A cluster of fine voxels around `center`; returns the covering AABB
-/// (full cell extents — the dirty-region contract).
-Aabb addCluster(std::vector<VoxelBox>& voxels, const Vec3& center, int radius_cells,
+/// A cluster of fine voxels around `center`.
+void addCluster(std::vector<VoxelBox>& voxels, const Vec3& center, int radius_cells,
                 double voxel, Rng& rng) {
-  Aabb touched = Aabb::empty();
   for (int dz = -radius_cells; dz <= radius_cells; ++dz)
     for (int dy = -radius_cells; dy <= radius_cells; ++dy)
       for (int dx = -radius_cells; dx <= radius_cells; ++dx) {
@@ -71,10 +61,7 @@ Aabb addCluster(std::vector<VoxelBox>& voxels, const Vec3& center, int radius_ce
         const VoxelBox v{{center.x + dx * voxel, center.y + dy * voxel, center.z + dz * voxel},
                          voxel};
         voxels.push_back(v);
-        touched.merge(v.box().lo);
-        touched.merge(v.box().hi);
       }
-  return touched;
 }
 
 PlannerMap buildMap(const std::vector<VoxelBox>& voxels, double precision, double inflation) {
@@ -128,88 +115,6 @@ TEST_P(PlanningEquivalence, RandomizedReplayMatchesReference) {
           << "world " << world << " query " << query;
     }
   }
-}
-
-// Incremental == from-scratch after arbitrary dirty-region sequences. Every
-// epoch mutates the map (insertions near and far from the corridor, and
-// occasional removals), rebuilds it, and plans through both entry points;
-// the results must match bit-for-bit whether the incremental planner reused
-// its cache or replanned — and the schedule must actually exercise both.
-TEST_P(PlanningEquivalence, IncrementalMatchesFromScratchUnderDirtySchedules) {
-  Rng rng(GetParam() + 77);
-  const double precision = 0.3;
-  const double inflation = rng.chance(0.5) ? 0.0 : 0.45;
-
-  std::vector<VoxelBox> voxels;
-  addCluster(voxels, {20, 5, 3}, 2, precision, rng);
-
-  const Vec3 start{2, 0, 2};
-  const Vec3 goal{38, 0, 2};
-  AStarParams params;
-  params.bounds = Aabb{{-4, -24, 0}, {44, 24, 9}};
-  params.cell = 0.75;
-
-  AStarIncremental incremental;
-  PlannerArena scratch_arena;
-
-  for (int epoch = 0; epoch < 24; ++epoch) {
-    Aabb dirty = Aabb::empty();
-    bool dirty_known = true;
-    switch (rng.uniformInt(0, 5)) {
-      case 0:
-        // No map change this epoch (a pure re-request).
-        break;
-      case 1: {
-        // Far change: clutter added well off the corridor.
-        dirty = addCluster(voxels, rng.uniformInBox({4, 14, 0}, {36, 22, 7}),
-                           rng.uniformInt(1, 2), precision, rng);
-        break;
-      }
-      case 2: {
-        // Near change: clutter dropped onto the corridor itself.
-        dirty = addCluster(voxels, rng.uniformInBox({10, -4, 1}, {30, 4, 5}),
-                           rng.uniformInt(1, 2), precision, rng);
-        break;
-      }
-      case 3: {
-        // Removal: delete every voxel inside a random region.
-        const Vec3 c = rng.uniformInBox({6, -20, 0}, {34, 20, 7});
-        const Aabb region{{c.x - 3, c.y - 3, c.z - 2}, {c.x + 3, c.y + 3, c.z + 2}};
-        std::vector<VoxelBox> kept;
-        for (const auto& v : voxels) {
-          if (region.contains(v.center)) {
-            dirty.merge(v.box().lo);
-            dirty.merge(v.box().hi);
-          } else {
-            kept.push_back(v);
-          }
-        }
-        voxels.swap(kept);
-        break;
-      }
-      default: {
-        // Change of unknown extent: the caller must declare everything
-        // dirty and the incremental planner must fall back to a full plan.
-        addCluster(voxels, rng.uniformInBox({4, -20, 0}, {36, 20, 7}), 1, precision, rng);
-        dirty_known = false;
-        break;
-      }
-    }
-    const PlannerMap map = buildMap(voxels, precision, inflation);
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const Aabb everything{{-kInf, -kInf, -kInf}, {kInf, kInf, kInf}};
-
-    const AStarResult inc =
-        incremental.plan(map, start, goal, params, dirty_known ? dirty : everything);
-    const AStarResult scratch = planPathAStar(map, start, goal, params, scratch_arena);
-    EXPECT_TRUE(resultsIdentical(inc, scratch, /*compare_work=*/true))
-        << "epoch " << epoch << (dirty_known ? "" : " (unknown dirty)");
-  }
-  // The schedule must have hit both sides of the reuse decision, or the
-  // test proved nothing about one of them.
-  EXPECT_GT(incremental.stats().reused, 0u);
-  EXPECT_GT(incremental.stats().full, 1u);
-  EXPECT_EQ(incremental.stats().plans, 24u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlanningEquivalence,

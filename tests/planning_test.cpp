@@ -288,59 +288,6 @@ TEST(AStarTest, ArenaReuseMatchesFreshArena) {
   }
 }
 
-// Incremental basics: a far-away change reuses the persisted search, a
-// corridor-blocking change forces a detour, and stats expose which happened.
-TEST(AStarIncrementalTest, ReusesFarChangesReplansNearOnes) {
-  std::vector<perception::VoxelBox> voxels;
-  auto build = [&] {
-    PlannerMap map(0.3, 0.4);
-    for (const auto& v : voxels) map.addVoxel(v);
-    return map;
-  };
-  AStarParams params;
-  params.bounds = Aabb{{-5, -20, 0}, {45, 20, 10}};
-  params.cell = 1.0;
-  AStarIncremental planner;
-
-  const auto first = planner.plan(build(), {0, 0, 2}, {40, 0, 2}, params, Aabb::empty());
-  ASSERT_TRUE(first.report.found);
-  EXPECT_EQ(planner.stats().full, 1u);
-
-  // Clutter far off the corridor: provably outside everything the search
-  // consulted -> answered from the cache.
-  Aabb far_dirty = Aabb::empty();
-  for (double x = 10; x <= 14; x += 0.3)
-    for (double z = 0; z <= 6; z += 0.3) {
-      const perception::VoxelBox v{{x, 18.0, z}, 0.3};
-      voxels.push_back(v);
-      far_dirty.merge(v.box().lo);
-      far_dirty.merge(v.box().hi);
-    }
-  const auto reused = planner.plan(build(), {0, 0, 2}, {40, 0, 2}, params, far_dirty);
-  EXPECT_EQ(planner.stats().reused, 1u);
-  EXPECT_DOUBLE_EQ(reused.report.path_cost, first.report.path_cost);
-
-  // A wall dropped across the corridor: the cache is provably stale and the
-  // planner must search again and route around it.
-  Aabb near_dirty = Aabb::empty();
-  for (double y = -6; y <= 6; y += 0.3)
-    for (double z = 0; z <= 10; z += 0.3) {
-      const perception::VoxelBox v{{20.0, y, z}, 0.3};
-      voxels.push_back(v);
-      near_dirty.merge(v.box().lo);
-      near_dirty.merge(v.box().hi);
-    }
-  const auto detour = planner.plan(build(), {0, 0, 2}, {40, 0, 2}, params, near_dirty);
-  EXPECT_EQ(planner.stats().full, 2u);
-  ASSERT_TRUE(detour.report.found);
-  EXPECT_GT(detour.report.path_cost, first.report.path_cost + 1.0);
-
-  // A different start invalidates regardless of dirt.
-  planner.plan(build(), {0, 1, 2}, {40, 0, 2}, params, Aabb::empty());
-  EXPECT_EQ(planner.stats().full, 3u);
-  EXPECT_EQ(planner.stats().plans, 4u);
-}
-
 TEST(SmootherTest, ProducesTimeParameterizedTrajectory) {
   PlannerMap map(0.3);
   const std::vector<Vec3> path{{0, 0, 2}, {10, 0, 2}, {20, 5, 2}, {30, 5, 2}};

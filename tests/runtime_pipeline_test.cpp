@@ -142,7 +142,7 @@ TEST(PipelineTest, CommCostIsBaseLatencyPlusBytesOverBandwidth) {
   EXPECT_EQ(PipelineConfig{}.comm.bytes_per_second, 2.0e6);
 }
 
-// The pooled A* planner modes drive the same pipeline end to end: replan,
+// The pooled A* planner drives the same pipeline end to end: replan,
 // smooth, hand off — the deterministic alternative to RRT* wired through the
 // planning stage by the planner_mode design knob.
 TEST(PipelineTest, AStarModePlansATrajectory) {
@@ -158,32 +158,6 @@ TEST(PipelineTest, AStarModePlansATrajectory) {
   EXPECT_GT(f.pipeline.trajectory().length(), 5.0);
   // The latency model charges A* expansions where RRT* charges iterations.
   EXPECT_GT(out.latencies.planning, 0.0);
-}
-
-TEST(PipelineTest, IncrementalAStarModeMatchesFullAStarDecisions) {
-  PipelineConfig full_config;
-  full_config.planner_mode = PlannerMode::AStar;
-  PipelineConfig inc_config;
-  inc_config.planner_mode = PlannerMode::AStarIncremental;
-  Fixture full(420.0, full_config);
-  Fixture inc(420.0, inc_config);
-  // Identical sensor epochs through both modes: the incremental planner may
-  // only reuse when a from-scratch plan would be indistinguishable, so the
-  // decision stream must match exactly.
-  Vec3 pos = full.environment.spec.start();
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    const auto a = full.decideAt(pos, staticPolicy());
-    const auto b = inc.decideAt(pos, staticPolicy());
-    EXPECT_EQ(a.replanned, b.replanned) << "epoch " << epoch;
-    EXPECT_EQ(a.plan_failed, b.plan_failed) << "epoch " << epoch;
-    EXPECT_EQ(a.astar_report.found, b.astar_report.found) << "epoch " << epoch;
-    EXPECT_DOUBLE_EQ(a.astar_report.path_cost, b.astar_report.path_cost)
-        << "epoch " << epoch;
-    // Hover in place for a few epochs, then step forward.
-    if (epoch == 2) pos = pos + Vec3{2.0, 0.0, 0.0};
-  }
-  EXPECT_GT(full.pipeline.trajectory().length(), 0.0);
-  EXPECT_GT(inc.pipeline.trajectory().length(), 0.0);
 }
 
 TEST(MetricsTest, StageLatencyAccounting) {
