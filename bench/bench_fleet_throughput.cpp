@@ -137,16 +137,15 @@ int main(int argc, char** argv) {
       identical = false;
     }
   }
-  // Keyed-cache gate: each client key's build/reuse sequence is a pure
-  // function of its own mission's epoch stream, so fleet-wide profile
-  // counters (and the total solve count — the hit/miss SPLIT is
-  // scheduling-dependent, the sum is not) must agree across thread
+  // Engine-counter gate: every mission profiles once per fused epoch, so
+  // the fleet-wide profile count (and the total solve count — the hit/miss
+  // SPLIT is scheduling-dependent, the sum is not) must agree across thread
   // counts and dispatch modes for the shared-engine variants.
   for (const Variant& v : variants) {
     if (!v.result.engine_shared) continue;
     const core::EngineStats& a = variants[0].result.engine;
     const core::EngineStats& b = v.result.engine;
-    if (a.profile_builds != b.profile_builds || a.profile_reuses != b.profile_reuses ||
+    if (a.profile_builds != b.profile_builds ||
         a.solver_memo_hits + a.solver_memo_misses !=
             b.solver_memo_hits + b.solver_memo_misses) {
       std::cerr << "bench_fleet_throughput: ENGINE COUNTER DIVERGENCE between "
@@ -234,7 +233,6 @@ int main(int argc, char** argv) {
          << ", \"missions_per_sec\": " << jsonNumber(v.result.missions_per_sec, 3)
          << ", \"engine_shared\": " << (v.result.engine_shared ? "true" : "false")
          << ", \"profile_builds\": " << v.result.engine.profile_builds
-         << ", \"profile_reuses\": " << v.result.engine.profile_reuses
          << ", \"solver_memo_hit_rate\": "
          << jsonNumber(v.result.engine.solverMemoHitRate(), 4) << "}"
          << (i + 1 < variants.size() ? "," : "") << "\n";
@@ -244,8 +242,7 @@ int main(int argc, char** argv) {
        << ", \"solver_memo_hits\": " << shared.engine.solver_memo_hits
        << ", \"solver_memo_misses\": " << shared.engine.solver_memo_misses
        << ", \"solver_memo_hit_rate\": " << jsonNumber(shared.engine.solverMemoHitRate(), 4)
-       << ", \"profile_builds\": " << shared.engine.profile_builds
-       << ", \"profile_reuses\": " << shared.engine.profile_reuses << "},\n";
+       << ", \"profile_builds\": " << shared.engine.profile_builds << "},\n";
   json << "  \"speedup\": {\"async_N\": "
        << jsonNumber(variants[0].result.wall_s /
                          std::max(variants[1].result.wall_s, 1e-12),

@@ -17,13 +17,7 @@
 // Section 2 (sensor path) replays a flown schedule — sensor frames, a live
 // octree accreting sweeps, hover phases — through the seed composition
 // (core::profileSpace + frozen governor) and through
-// DecisionEngine::decideFromSensors with dirty-bounds plumbing (adds the
-// fused/cached profiler win).
-//
-// Section 3 (interleaved tenants) strictly interleaves two independent
-// sensor streams on ONE shared engine under per-client keys and checks
-// both answers and per-tenant profile reuse counts against private
-// engines — the fleet-sharing shape the keyed profile cache exists for.
+// DecisionEngine::decideFromSensors (adds the fused profiler win).
 //
 // Every variant must produce bit-identical decisions (and profiles) at
 // every step — the bench exits nonzero if they diverge, so a perf number
@@ -227,7 +221,7 @@ int main(int argc, char** argv) {
   // Precompute the flown schedule: positions (with hover dwells — decisions
   // outpace movement at sensor rate), the frames seen there, and the sweep
   // clouds integrated afterwards (alternating near-corridor and off-corridor
-  // sweeps, so part of the schedule provably misses the sampled horizon).
+  // sweeps).
   struct Epoch {
     Vec3 position;
     sim::SensorFrame frame;
@@ -301,7 +295,6 @@ int main(int argc, char** argv) {
   // measurement.
   double sensor_ref_s = 1e100;
   double sensor_engine_s = 1e100;
-  std::uint64_t profile_reuses = 0;
   for (int rep = 0; rep < reps; ++rep) {
     {
       perception::OccupancyOctree octree(environment.world->extent(), 0.3);
@@ -334,112 +327,11 @@ int main(int argc, char** argv) {
               !profilesIdentical(governed.profile, expected_profiles[e]))
             ++mismatches;
         });
-        const auto report = perception::insertPointCloud(octree, flown[e].cloud, ins, {});
-        engine.noteMapChanged(report.touched);
+        (void)perception::insertPointCloud(octree, flown[e].cloud, ins, {});
       }
       sensor_engine_s = std::min(sensor_engine_s, acc);
-      profile_reuses = engine.stats().profile_reuses;
     }
   }
-
-  // ------------------------------------------------------------------
-  // Section 3: interleaved tenants (fleet-style sharing) — two sensor
-  // streams strictly interleaved on ONE shared engine under per-client
-  // keys, versus each stream on its own private engine.  The old
-  // single-slot profile cache pinned shared reuses at 0 here (every
-  // tenant switch evicted the other tenant's fused samples); the keyed
-  // cache must keep both warm and match the private engines bit-for-bit.
-  // ------------------------------------------------------------------
-  const std::size_t tenant_epochs = smoke ? 32 : 96;
-  struct TenantBench {
-    env::Environment environment;
-    std::vector<Epoch> flown;
-  };
-  auto makeTenant = [&](unsigned env_seed, std::uint64_t rng_seed) {
-    env::EnvSpec tenant_spec;
-    tenant_spec.goal_distance = 260.0;
-    tenant_spec.obstacle_spread = 35.0;
-    tenant_spec.seed = env_seed;
-    TenantBench tenant{env::generateEnvironment(tenant_spec), {}};
-    Rng rng(rng_seed);
-    Vec3 pos{0, 0, 3};
-    int dwell = 0;
-    for (std::size_t e = 0; e < tenant_epochs; ++e) {
-      if (dwell > 0) {
-        --dwell;
-      } else {
-        pos = pos + Vec3{rng.uniform(0.6, 2.2), rng.uniform(-0.4, 0.4), 0.0};
-        if (rng.chance(0.55)) dwell = rng.uniformInt(1, 5);
-      }
-      Epoch epoch;
-      epoch.position = pos;
-      epoch.frame = sensor.capture(*tenant.environment.world, pos);
-      const Vec3 sweep_origin =
-          rng.chance(0.5) ? pos : pos + Vec3{0.0, rng.uniform(40.0, 60.0), 0.0};
-      const auto raw =
-          perception::fromSensorFrame(sensor.capture(*tenant.environment.world, sweep_origin));
-      epoch.cloud = perception::downsample(raw, 0.3).cloud;
-      tenant.flown.push_back(std::move(epoch));
-    }
-    return tenant;
-  };
-  std::vector<TenantBench> tenants;
-  tenants.push_back(makeTenant(9, 0xA11CEu));
-  tenants.push_back(makeTenant(11, 0xB0B2u));
-
-  DecisionEngine::Config tenant_config;
-  tenant_config.knobs = knobs;
-  tenant_config.budgeter = budgeter;
-  tenant_config.profiler = profiler_config;
-
-  // Private engines: one per tenant, each stream alone — the per-tenant
-  // ground truth for both answers and reuse counts.
-  std::uint64_t private_reuses = 0;
-  std::vector<std::vector<core::EngineDecision>> expected_tenant(tenants.size());
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    perception::OccupancyOctree octree(tenants[t].environment.world->extent(), 0.3);
-    DecisionEngine engine(tenant_config, predictor);
-    for (const Epoch& e : tenants[t].flown) {
-      expected_tenant[t].push_back(
-          engine.decideFromSensors(e.frame, octree, trajectory, e.position, vel, vel));
-      const auto report = perception::insertPointCloud(octree, e.cloud, ins, {});
-      engine.noteMapChanged(report.touched);
-    }
-    private_reuses += engine.stats().profile_reuses;
-  }
-
-  // Shared engine: both streams strictly interleaved, one client key each.
-  std::uint64_t shared_reuses = 0;
-  double tenants_shared_s = 0.0;
-  {
-    DecisionEngine engine(tenant_config, predictor);
-    std::vector<DecisionEngine::ClientId> clients;
-    std::vector<perception::OccupancyOctree> octrees;
-    for (const TenantBench& tenant : tenants) {
-      clients.push_back(engine.acquireClient());
-      octrees.emplace_back(tenant.environment.world->extent(), 0.3);
-    }
-    for (std::size_t e = 0; e < tenant_epochs; ++e) {
-      for (std::size_t t = 0; t < tenants.size(); ++t) {
-        const Epoch& epoch = tenants[t].flown[e];
-        tenants_shared_s += timeIt([&] {
-          const core::EngineDecision governed = engine.decideFromSensors(
-              epoch.frame, octrees[t], trajectory, epoch.position, vel, vel, clients[t]);
-          if (!decisionsIdentical(governed.decision, expected_tenant[t][e].decision) ||
-              !profilesIdentical(governed.profile, expected_tenant[t][e].profile))
-            ++mismatches;
-        });
-        const auto report = perception::insertPointCloud(octrees[t], epoch.cloud, ins, {});
-        engine.noteMapChanged(report.touched, clients[t]);
-      }
-    }
-    shared_reuses = engine.stats().profile_reuses;
-    for (const DecisionEngine::ClientId client : clients) engine.releaseClient(client);
-  }
-  // The keyed cache makes each client's build/reuse sequence a pure
-  // function of its own stream: interleaving must not change the totals,
-  // and the hover dwells guarantee reuse actually occurs.
-  if (shared_reuses != private_reuses || shared_reuses == 0) ++mismatches;
 
   if (mismatches != 0) {
     std::cerr << "bench_governor_throughput: GOVERNORS DIVERGED (" << mismatches
@@ -464,13 +356,7 @@ int main(int argc, char** argv) {
             << decisions << " memo hits)\n"
             << "  sensor path:        " << jsonNumber(per_sec(epochs, sensor_ref_s), 1)
             << " -> " << jsonNumber(per_sec(epochs, sensor_engine_s), 1) << " decisions/s  ("
-            << jsonNumber(speedup_sensor, 2) << "x, " << profile_reuses << "/" << epochs
-            << " profile reuses)\n"
-            << "  interleaved tenants: " << jsonNumber(per_sec(tenants.size() * tenant_epochs,
-                                                             tenants_shared_s),
-                                                      1)
-            << " decisions/s shared  (" << shared_reuses
-            << " cross-tenant profile reuses, private engines " << private_reuses << ")\n";
+            << jsonNumber(speedup_sensor, 2) << "x)\n";
 
   std::ostringstream json;
   json << "{\n";
@@ -494,14 +380,7 @@ int main(int argc, char** argv) {
   json << "  \"sensor_path\": {\"epochs\": " << epochs
        << ", \"reference_seconds\": " << jsonNumber(sensor_ref_s)
        << ", \"engine_seconds\": " << jsonNumber(sensor_engine_s)
-       << ", \"profile_reuses\": " << profile_reuses
        << ", \"speedup\": " << jsonNumber(speedup_sensor, 3) << "},\n";
-  json << "  \"interleaved_tenants\": {\"tenants\": " << tenants.size()
-       << ", \"epochs_per_tenant\": " << tenant_epochs
-       << ", \"shared_profile_reuses\": " << shared_reuses
-       << ", \"private_profile_reuses\": " << private_reuses
-       << ", \"decisions_per_sec\": "
-       << jsonNumber(per_sec(tenants.size() * tenant_epochs, tenants_shared_s), 1) << "},\n";
   json << "  \"speedup\": {\"engine_enumerate\": " << jsonNumber(speedup_enum, 3)
        << ", \"engine_memoized\": " << jsonNumber(speedup_memo, 3) << "},\n";
   json << "  \"governors_agree\": " << (mismatches == 0 ? "true" : "false") << "\n";

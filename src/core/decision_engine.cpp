@@ -34,20 +34,6 @@ std::uint64_t hashKey(const std::array<std::uint64_t, 7>& key) {
 
 constexpr std::size_t kProbeWindow = 8;
 
-std::array<std::uint64_t, 8> trajectoryFingerprint(const planning::Trajectory& t) {
-  if (t.empty()) return {};
-  const auto& first = t.points().front();
-  const auto& last = t.points().back();
-  return {static_cast<std::uint64_t>(t.size()),
-          std::bit_cast<std::uint64_t>(t.duration()),
-          std::bit_cast<std::uint64_t>(first.position.x),
-          std::bit_cast<std::uint64_t>(first.position.y),
-          std::bit_cast<std::uint64_t>(first.position.z),
-          std::bit_cast<std::uint64_t>(last.position.x),
-          std::bit_cast<std::uint64_t>(last.position.y),
-          std::bit_cast<std::uint64_t>(last.position.z)};
-}
-
 std::size_t roundUpPow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
@@ -78,42 +64,6 @@ std::shared_ptr<DecisionEngine> DecisionEngine::calibrated(const sim::LatencyMod
                                                            const Config& config) {
   return std::make_shared<DecisionEngine>(
       config, calibratePredictor(latency_model, config.knobs).predictor);
-}
-
-// --- client registry --------------------------------------------------------
-
-DecisionEngine::ClientId DecisionEngine::acquireClient() {
-  return next_client_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void DecisionEngine::releaseClient(ClientId client) {
-  std::lock_guard lock(clients_mutex_);
-  clients_.erase(client);
-}
-
-std::shared_ptr<DecisionEngine::ClientState> DecisionEngine::clientState(ClientId client) {
-  std::lock_guard lock(clients_mutex_);
-  const std::uint64_t tick = ++lru_clock_;
-  if (auto it = clients_.find(client); it != clients_.end()) {
-    it->second->last_used = tick;
-    return it->second;
-  }
-  // Fresh key: all-dirty until its first build, so a recycled key (or a
-  // slot re-created after LRU eviction) can never alias stale samples.
-  auto state = std::make_shared<ClientState>();
-  state->last_used = tick;
-  const std::size_t cap = std::max<std::size_t>(config_.profile_cache_clients, 1);
-  if (clients_.size() >= cap) {
-    auto victim = clients_.end();
-    for (auto it = clients_.begin(); it != clients_.end(); ++it)
-      if (victim == clients_.end() || it->second->last_used < victim->second->last_used)
-        victim = it;
-    // The shared_ptr handed to any in-flight profiler keeps the evicted
-    // slot alive until that call returns; only the registry entry dies.
-    if (victim != clients_.end()) clients_.erase(victim);
-  }
-  clients_.emplace(client, state);
-  return state;
 }
 
 // --- solver memo ------------------------------------------------------------
@@ -232,39 +182,23 @@ EngineDecision DecisionEngine::decideFromSensors(const sim::SensorFrame& frame,
                                                  const planning::Trajectory& trajectory,
                                                  const geom::Vec3& position,
                                                  const geom::Vec3& velocity,
-                                                 const geom::Vec3& travel_dir,
-                                                 ClientId client) {
+                                                 const geom::Vec3& travel_dir) {
   EngineDecision out;
   {
     obs::ScopedSpan obs_profile(config_.spans, obs::Stage::Govern, "profile");
-    const std::shared_ptr<ClientState> state = clientState(client);
-    std::lock_guard lock(state->mutex);
-    out.profile =
-        profileForClient(*state, frame, map, trajectory, position, velocity, travel_dir);
+    out.profile = profile(frame, map, trajectory, position, velocity, travel_dir);
   }
   out.decision = decide(out.profile);
   return out;
 }
 
+// --- fused space profiling --------------------------------------------------
+
 SpaceProfile DecisionEngine::profile(const sim::SensorFrame& frame,
                                      const perception::OccupancyOctree& map,
                                      const planning::Trajectory& trajectory,
                                      const geom::Vec3& position, const geom::Vec3& velocity,
-                                     const geom::Vec3& travel_dir, ClientId client) {
-  const std::shared_ptr<ClientState> state = clientState(client);
-  std::lock_guard lock(state->mutex);
-  return profileForClient(*state, frame, map, trajectory, position, velocity, travel_dir);
-}
-
-// --- incremental space profiling --------------------------------------------
-
-SpaceProfile DecisionEngine::profileForClient(ClientState& state,
-                                              const sim::SensorFrame& frame,
-                                              const perception::OccupancyOctree& map,
-                                              const planning::Trajectory& trajectory,
-                                              const geom::Vec3& position,
-                                              const geom::Vec3& velocity,
-                                              const geom::Vec3& travel_dir) {
+                                     const geom::Vec3& travel_dir) {
   using geom::Vec3;
 
   const double unknown_step = config_.profiler.unknown_probe_step;
@@ -273,16 +207,13 @@ SpaceProfile DecisionEngine::profileForClient(ClientState& state,
   // probe (step = unknown_probe_step, early break at the first non-free
   // cell) and the waypoint visibility pass (step = probe, full length).
   // When both run at the same step — the default — they query the same
-  // points, so one fused pass serves both, and that pass is what the
-  // cross-epoch cache stores.
+  // points, so one fused pass serves both.
   const bool fused = trajectory.size() >= 2 && unknown_step == probe;
   if (!fused) {
     // Non-fusable shapes (empty or single-point trajectory, or an
     // unknown_probe_step below the waypoint probe floor, where the seed's
     // two passes differ in step width): run the seed path itself — one
-    // copy of that logic, trivially identical. Rare (non-default configs
-    // and startup), so no caching.
-    state.cache.valid = false;
+    // copy of that logic, trivially identical.
     return profileSpace(frame, map, trajectory, position, velocity, travel_dir,
                         config_.profiler);
   }
@@ -305,121 +236,70 @@ SpaceProfile DecisionEngine::profileForClient(ClientState& state,
 
   profile.d_unknown = frame.max_range;
 
-  {
-    const auto fingerprint = trajectoryFingerprint(trajectory);
-    const bool cache_ok =
-        state.cache.valid && state.cache.map_addr == &map &&
-        state.cache.traj_addr == &trajectory &&
-        state.cache.traj_version == state.traj_version &&
-        state.cache.traj_fingerprint == fingerprint &&
-        state.cache.position_bits ==
-            std::array<std::uint64_t, 3>{bitsOf(position.x), bitsOf(position.y),
-                                         bitsOf(position.z)} &&
-        !state.all_dirty &&
-        (state.dirty.isEmpty() || !state.dirty.intersects(state.cache.sample_bounds));
-    if (cache_ok) {
-      stats_.profile_reuses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ProfileCache& c = state.cache;
-      c.valid = false;
-      c.total = trajectory.length();
-      c.start_s = trajectory.closestArcLength(position);
-      c.sample_s.clear();
-      c.sample_free.clear();
-      c.first_blocked = -1;
-      c.sample_bounds = geom::Aabb::empty();
-      for (double s = c.start_s; s <= c.total; s += probe) {
-        const Vec3 p = trajectory.sampleAtArcLength(s);
-        const bool free = map.query(p) == perception::Occupancy::Free;
-        if (!free && c.first_blocked < 0)
-          c.first_blocked = static_cast<std::ptrdiff_t>(c.sample_s.size());
-        c.sample_s.push_back(s);
-        c.sample_free.push_back(free ? 1 : 0);
-        c.sample_bounds.merge(p);
-      }
-      // free_until[j]: arc length of the first non-free sample at or after
-      // j (the seed's backward pass, verbatim).
-      c.free_until.assign(c.sample_s.size(), c.total);
-      double frontier = c.sample_s.empty() ? c.start_s : c.sample_s.back() + probe;
-      for (std::size_t j = c.sample_s.size(); j-- > 0;) {
-        if (!c.sample_free[j]) frontier = c.sample_s[j];
-        c.free_until[j] = frontier;
-      }
-      c.map_addr = &map;
-      c.traj_addr = &trajectory;
-      c.traj_version = state.traj_version;
-      c.traj_fingerprint = fingerprint;
-      c.position_bits = {bitsOf(position.x), bitsOf(position.y), bitsOf(position.z)};
-      c.valid = true;
-      state.dirty = geom::Aabb::empty();
-      state.all_dirty = false;
-      stats_.profile_builds.fetch_add(1, std::memory_order_relaxed);
-    }
+  // The fused sample pass: arc lengths, free bits, and the index of the
+  // first non-free sample.
+  const double total = trajectory.length();
+  const double start_s = trajectory.closestArcLength(position);
+  std::vector<double> sample_s;
+  std::vector<char> sample_free;
+  std::ptrdiff_t first_blocked = -1;
+  for (double s = start_s; s <= total; s += probe) {
+    const bool free =
+        map.query(trajectory.sampleAtArcLength(s)) == perception::Occupancy::Free;
+    if (!free && first_blocked < 0)
+      first_blocked = static_cast<std::ptrdiff_t>(sample_s.size());
+    sample_s.push_back(s);
+    sample_free.push_back(free ? 1 : 0);
+  }
+  // free_until[j]: arc length of the first non-free sample at or after j
+  // (the seed's backward pass, verbatim).
+  std::vector<double> free_until(sample_s.size(), total);
+  double frontier = sample_s.empty() ? start_s : sample_s.back() + probe;
+  for (std::size_t j = sample_s.size(); j-- > 0;) {
+    if (!sample_free[j]) frontier = sample_s[j];
+    free_until[j] = frontier;
+  }
+  stats_.profile_builds.fetch_add(1, std::memory_order_relaxed);
 
-    const ProfileCache& c = state.cache;
-    // d_unknown from the fused samples: the first non-free sample is
-    // exactly where the seed's early-breaking probe loop stopped.
-    if (c.first_blocked >= 0)
-      profile.d_unknown =
-          std::max(c.sample_s[static_cast<std::size_t>(c.first_blocked)] - c.start_s, 0.5);
+  // d_unknown from the fused samples: the first non-free sample is exactly
+  // where the seed's early-breaking probe loop stopped.
+  if (first_blocked >= 0)
+    profile.d_unknown =
+        std::max(sample_s[static_cast<std::size_t>(first_blocked)] - start_s, 0.5);
 
-    auto visibilityAt = [&](double s) {
-      if (c.sample_s.empty()) return 1.0;
-      const auto idx = static_cast<std::size_t>(std::clamp(
-          (s - c.start_s) / probe, 0.0, static_cast<double>(c.sample_s.size() - 1)));
-      // Not std::clamp: max_range can fall below 0.5, which breaks its
-      // lo <= hi precondition. This is libstdc++'s clamp body, so the result
-      // is unchanged (max_range wins when it is below the floor).
-      return std::min(std::max(c.free_until[idx] - s, 0.5), frame.max_range);
-    };
+  auto visibilityAt = [&](double s) {
+    if (sample_s.empty()) return 1.0;
+    const auto idx = static_cast<std::size_t>(std::clamp(
+        (s - start_s) / probe, 0.0, static_cast<double>(sample_s.size() - 1)));
+    // Not std::clamp: max_range can fall below 0.5, which breaks its
+    // lo <= hi precondition. This is libstdc++'s clamp body, so the result
+    // is unchanged (max_range wins when it is below the floor).
+    return std::min(std::max(free_until[idx] - s, 0.5), frame.max_range);
+  };
 
-    profile.waypoints.push_back(
-        {position, std::max(profile.velocity, 0.05), profile.visibility, 0.0});
-    const double start_t =
-        trajectory.duration() * (c.total > 1e-9 ? c.start_s / c.total : 0.0);
-    double prev_t = start_t;
-    const auto& pts = trajectory.points();
-    double acc_s = 0.0;
-    for (std::size_t i = 0;
-         i < pts.size() && profile.waypoints.size() < config_.profiler.waypoint_horizon;
-         ++i) {
-      if (i > 0) acc_s += pts[i].position.dist(pts[i - 1].position);
-      if (pts[i].time < start_t) continue;
-      WaypointState ws;
-      ws.position = pts[i].position;
-      ws.velocity = std::max(pts[i].velocity, 0.1);
-      ws.visibility = visibilityAt(std::max(acc_s, c.start_s));
-      ws.flight_time_from_prev = std::max(pts[i].time - prev_t, 0.0);
-      prev_t = pts[i].time;
-      profile.waypoints.push_back(ws);
-    }
+  profile.waypoints.push_back(
+      {position, std::max(profile.velocity, 0.05), profile.visibility, 0.0});
+  const double start_t = trajectory.duration() * (total > 1e-9 ? start_s / total : 0.0);
+  double prev_t = start_t;
+  const auto& pts = trajectory.points();
+  double acc_s = 0.0;
+  for (std::size_t i = 0;
+       i < pts.size() && profile.waypoints.size() < config_.profiler.waypoint_horizon;
+       ++i) {
+    if (i > 0) acc_s += pts[i].position.dist(pts[i - 1].position);
+    if (pts[i].time < start_t) continue;
+    WaypointState ws;
+    ws.position = pts[i].position;
+    ws.velocity = std::max(pts[i].velocity, 0.1);
+    ws.visibility = visibilityAt(std::max(acc_s, start_s));
+    ws.flight_time_from_prev = std::max(pts[i].time - prev_t, 0.0);
+    prev_t = pts[i].time;
+    profile.waypoints.push_back(ws);
   }
   // The fused path always has >= 2 trajectory points, so W0 was pushed
   // above and the seed's empty-waypoints hover fallback (handled by
   // profileSpace for the non-fused shapes) cannot trigger here.
   return profile;
-}
-
-// --- dirty plumbing / lifecycle ---------------------------------------------
-
-void DecisionEngine::noteMapChanged(const geom::Aabb& bounds, ClientId client) {
-  if (bounds.isEmpty()) return;
-  const std::shared_ptr<ClientState> state = clientState(client);
-  std::lock_guard lock(state->mutex);
-  state->dirty.merge(bounds);
-}
-
-void DecisionEngine::noteMapChangedEverywhere(ClientId client) {
-  const std::shared_ptr<ClientState> state = clientState(client);
-  std::lock_guard lock(state->mutex);
-  state->all_dirty = true;
-  state->cache.valid = false;
-}
-
-void DecisionEngine::noteTrajectoryChanged(ClientId client) {
-  const std::shared_ptr<ClientState> state = clientState(client);
-  std::lock_guard lock(state->mutex);
-  ++state->traj_version;
 }
 
 void DecisionEngine::selectStrategy(StrategyType type, int patience) {
@@ -435,26 +315,6 @@ void DecisionEngine::resetStrategy() {
   if (strategy_) strategy_->reset();
 }
 
-void DecisionEngine::reset() {
-  resetStrategy();
-  // Snapshot the live slots, then reset each under its own lock: no path
-  // holds a slot lock while taking clients_mutex_, but keeping the
-  // critical sections disjoint makes that invariant irrelevant.
-  std::vector<std::shared_ptr<ClientState>> snapshot;
-  {
-    std::lock_guard lock(clients_mutex_);
-    snapshot.reserve(clients_.size());
-    for (auto& [id, state] : clients_) snapshot.push_back(state);
-  }
-  for (const auto& state : snapshot) {
-    std::lock_guard lock(state->mutex);
-    state->cache.valid = false;
-    state->dirty = geom::Aabb::empty();
-    state->all_dirty = true;
-    ++state->traj_version;
-  }
-}
-
 EngineStats DecisionEngine::stats() const {
   EngineStats out;
   out.decisions = stats_.decisions.load(std::memory_order_relaxed);
@@ -462,7 +322,6 @@ EngineStats DecisionEngine::stats() const {
   out.solver_memo_misses = stats_.solver_memo_misses.load(std::memory_order_relaxed);
   out.strategy_decisions = stats_.strategy_decisions.load(std::memory_order_relaxed);
   out.profile_builds = stats_.profile_builds.load(std::memory_order_relaxed);
-  out.profile_reuses = stats_.profile_reuses.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -472,7 +331,6 @@ void DecisionEngine::resetStats() {
   stats_.solver_memo_misses.store(0, std::memory_order_relaxed);
   stats_.strategy_decisions.store(0, std::memory_order_relaxed);
   stats_.profile_builds.store(0, std::memory_order_relaxed);
-  stats_.profile_reuses.store(0, std::memory_order_relaxed);
 }
 
 void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
@@ -488,7 +346,6 @@ void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
   registry.counter(name("solver_memo_misses")).add(stats.solver_memo_misses);
   registry.counter(name("strategy_decisions")).add(stats.strategy_decisions);
   registry.counter(name("profile_builds")).add(stats.profile_builds);
-  registry.counter(name("profile_reuses")).add(stats.profile_reuses);
   registry.gauge(name("solver_memo_hit_rate")).set(stats.solverMemoHitRate());
 }
 

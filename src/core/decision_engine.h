@@ -10,8 +10,8 @@
 //
 // It is the only RoboRun governor in src/ (every RoboRun mission decides
 // through it), and it stays bit-identical to the seed implementation
-// (frozen as tests/reference_governor.h) while adding two caches for
-// decision-heavy traffic:
+// (frozen as tests/reference_governor.h) while adding a solver memo and a
+// fused profiler for decision-heavy traffic:
 //
 //  * Solver memoization. The exhaustive Eq. 3 enumeration
 //    (GovernorSolver::pick) is a pure function of (knob budget,
@@ -26,33 +26,19 @@
 //    what enumeration would have produced — quantization can only cost
 //    hits, never correctness.
 //
-//  * Incremental space profiling. The only map-dependent (and dominant)
-//    part of profileSpace is the occupancy sample pass along the
-//    trajectory; the engine fuses the seed's two passes (d_unknown probe +
-//    waypoint visibility sampling) into one and caches the sample arrays.
-//    When the client's dirty-bounds plumbing (OctomapInsertReport.touched
-//    -> noteMapChanged()) proves the map did not change inside the sampled
-//    corridor, and trajectory + query position are unchanged, the samples
-//    are reused instead of re-queried. Reuse conditions are exact, so the
-//    profile is bit-identical either way.
+//  * Fused space profiling. The only map-dependent (and dominant) part of
+//    profileSpace is the occupancy sample pass along the trajectory; the
+//    engine fuses the seed's two passes (d_unknown probe + waypoint
+//    visibility sampling) into one. Every call samples from scratch, so the
+//    profile is a pure function of its inputs and bit-identical to
+//    core::profileSpace.
 //
 // Sharing contract (the fleet shape). One engine instance may be shared by
 // any number of governor clients on any number of threads; because every
-// answer is bit-identical regardless of cache/memo state, sharing cannot
-// change any client's decisions — it only trades warmth. Two mechanisms
-// make the shared shape scale instead of serialize:
-//
-//  * Keyed profile caches. Each client acquires a ClientId (acquireClient()
-//    / releaseClient()) and passes it to the profiling entry points; the
-//    engine keeps one independent sample cache + dirty-bounds accumulator
-//    per key in an LRU-bounded slot pool (Config::profile_cache_clients).
-//    Interleaved tenants therefore keep their own fused sample arrays warm
-//    instead of evicting a single shared slot, and profiling for distinct
-//    clients runs concurrently (each slot has its own lock). A fresh key
-//    starts conservatively all-dirty, so tenant handoffs and heap-address
-//    reuse can never alias a previous client's samples. Callers that never
-//    acquire a key use kDefaultClient and get the old single-client
-//    behavior.
+// answer is bit-identical regardless of memo state, sharing cannot change
+// any client's decisions — it only trades warmth. Profiling keeps no state,
+// so concurrent clients never contend there; the memo is built to scale
+// instead of serialize:
 //
 //  * Sharded solver memo. The open-addressed memo table is striped across
 //    16 independently locked shards selected by key hash; concurrent
@@ -80,7 +66,6 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/governor.h"
@@ -90,7 +75,6 @@
 #include "core/solver.h"
 #include "core/strategies.h"
 #include "core/time_budgeter.h"
-#include "geom/aabb.h"
 #include "obs/metrics_registry.h"
 #include "obs/span_recorder.h"
 
@@ -113,7 +97,9 @@ struct EngineStats {
   std::uint64_t solver_memo_hits = 0;
   std::uint64_t solver_memo_misses = 0;  ///< exhaustive enumerations run
   std::uint64_t strategy_decisions = 0;  ///< routed to a pluggable strategy
-  std::uint64_t profile_builds = 0;
+  std::uint64_t profile_builds = 0;  ///< fused sample passes run
+  /// Always 0: every profile is sampled from scratch. Declared only because
+  /// perfbench's stat summing still names it.
   std::uint64_t profile_reuses = 0;
   /// Always 0: the engine reads no clock (time its stages with the Govern
   /// spans instead). Declared only because perfbench's stat summing still
@@ -125,10 +111,8 @@ struct EngineStats {
   /// Memo hits per Eq. 3 solve (0 when no solver decisions ran). On a
   /// fleet-shared engine this is the cross-tenant warmth metric: which hits
   /// land is scheduling-dependent, so treat it as a measurement — like wall
-  /// time, never part of the deterministic replay contract. (The profile
-  /// counters, by contrast, ARE schedule-independent on a keyed cache:
-  /// each client's build/reuse sequence is a pure function of its own
-  /// epoch stream.)
+  /// time, never part of the deterministic replay contract. (profile_builds,
+  /// by contrast, IS schedule-independent: one per fused profile.)
   double solverMemoHitRate() const {
     const std::uint64_t solved = solver_memo_hits + solver_memo_misses;
     return solved == 0 ? 0.0 : static_cast<double>(solver_memo_hits) /
@@ -146,11 +130,6 @@ void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
 
 class DecisionEngine {
  public:
-  /// Key of one profiling client (tenant) — see acquireClient(). Client 0
-  /// is the implicit default for callers that never acquire a key.
-  using ClientId = std::uint64_t;
-  static constexpr ClientId kDefaultClient = 0;
-
   struct Config {
     KnobConfig knobs;          ///< incl. fixed_overhead (the single source)
     BudgeterConfig budgeter;
@@ -159,12 +138,6 @@ class DecisionEngine {
     /// each shard is a power of two). 0 disables memoization — every
     /// decision enumerates; bench ablation surface.
     std::size_t solver_memo_capacity = 1024;
-    /// Keyed profile-cache slot pool: at most this many client keys keep
-    /// their sample caches live (least-recently-used key evicted beyond
-    /// it). Size it to the number of concurrently active tenants (fleet
-    /// schedulers use their worker count); an evicted key only loses
-    /// warmth, never correctness.
-    std::size_t profile_cache_clients = 8;
     /// Span recorder for the governor sub-stages (Govern spans with detail
     /// "profile" / "budget" / "solve"). Pure measurement channel — null
     /// (the default) costs one branch per site and nothing else, and a
@@ -182,16 +155,6 @@ class DecisionEngine {
   static std::shared_ptr<DecisionEngine> calibrated(const sim::LatencyModel& latency_model,
                                                     const Config& config);
 
-  /// Obtain a fresh client key for the profiling entry points. Every
-  /// pipeline/tenant sharing this engine should hold its own key so
-  /// interleaved clients keep independent sample caches; the key's state
-  /// starts conservatively all-dirty. Thread-safe.
-  ClientId acquireClient();
-  /// Drop a client's cached profiling state immediately (end of mission /
-  /// pipeline teardown) instead of waiting for LRU eviction. Safe to call
-  /// with a key that was already evicted or never used.
-  void releaseClient(ClientId client);
-
   /// The governor core: budget the profiled horizon, solve Eq. 3 (memoized
   /// on the exhaustive path), emit the policy. Bit-identical to the frozen
   /// reference::RoboRunGovernor::decide (tests/reference_governor.h) for
@@ -204,55 +167,36 @@ class DecisionEngine {
   /// envelope admits, floor volumes (volumesAtScale(0)), and the budgeter's
   /// floor deadline, with budget_met = false so the decision reads as
   /// degraded downstream. A pure function of (knobs, profile): no memo, no
-  /// strategy, no per-client state, so it is trivially thread-safe and
+  /// strategy, no state, so it is trivially thread-safe and
   /// bit-reproducible. Used by the mission runner during FaultPlan
   /// blackout epochs (the drone hovers; the pipeline keeps ticking at
   /// minimum cost so the map and trajectory stay warm for recovery).
   GovernorDecision blackoutFallback(const SpaceProfile& profile) const;
 
   /// The full per-decision path: profile space from the live sensor frame /
-  /// map / trajectory (fused sampling, cross-epoch reuse against the given
-  /// client's cache), then decide().
+  /// map / trajectory (fused sampling), then decide().
   EngineDecision decideFromSensors(const sim::SensorFrame& frame,
                                    const perception::OccupancyOctree& map,
                                    const planning::Trajectory& trajectory,
                                    const geom::Vec3& position, const geom::Vec3& velocity,
-                                   const geom::Vec3& travel_dir,
-                                   ClientId client = kDefaultClient);
+                                   const geom::Vec3& travel_dir);
 
-  /// Space profiling only (the engine's fused + cached path). Bit-identical
-  /// to core::profileSpace on the same inputs. Advances the client's sample
-  /// cache.
+  /// Space profiling only (the engine's fused path). Bit-identical to
+  /// core::profileSpace on the same inputs. Stateless and thread-safe.
   SpaceProfile profile(const sim::SensorFrame& frame,
                        const perception::OccupancyOctree& map,
                        const planning::Trajectory& trajectory, const geom::Vec3& position,
-                       const geom::Vec3& velocity, const geom::Vec3& travel_dir,
-                       ClientId client = kDefaultClient);
-
-  /// Dirty-bounds plumbing: the client MUST report every region of the map
-  /// it may have mutated since the engine last profiled for it (e.g.
-  /// forward each OctomapInsertReport.touched). Sample reuse is gated on
-  /// the accumulated dirty region provably missing the sampled corridor.
-  /// Empty boxes are ignored.
-  void noteMapChanged(const geom::Aabb& bounds, ClientId client = kDefaultClient);
-  /// Conservative invalidation when the change region is unknown.
-  void noteMapChangedEverywhere(ClientId client = kDefaultClient);
-  /// The client MUST call this whenever the trajectory it profiles against
-  /// may have changed (replan, trajectory cleared, new message).
-  void noteTrajectoryChanged(ClientId client = kDefaultClient);
+                       const geom::Vec3& velocity, const geom::Vec3& travel_dir);
 
   /// Route Eq. 3 through an alternative strategy (core/strategies.h), bound
   /// to this engine's predictor. Exhaustive clears back to the built-in
   /// memoized solver. Strategy decisions bypass the memo (strategies may
   /// carry state) and serialize on the strategy lock.
   void selectStrategy(StrategyType type, int patience = 3);
-  /// Forget cross-decision strategy state (start of a new mission).
+  /// Forget cross-decision strategy state (start of a new mission). The
+  /// solver memo survives — entries are pure functions of their key, so
+  /// they stay valid across missions.
   void resetStrategy();
-
-  /// Start-of-mission reset: strategy state plus every client's profile
-  /// cache and dirty region. The solver memo survives — entries are pure
-  /// functions of their key, so they stay valid across missions.
-  void reset();
   /// Drop every memo entry (O(1) per shard: generation bumps).
   void clearMemo();
 
@@ -289,51 +233,7 @@ class DecisionEngine {
   };
   static constexpr std::size_t kMemoShards = 16;
 
-  struct ProfileCache {
-    bool valid = false;
-    const void* map_addr = nullptr;
-    const void* traj_addr = nullptr;
-    std::uint64_t traj_version = 0;
-    /// O(1) fingerprint (size + duration + endpoint bits) guarding against
-    /// clients that mutate the trajectory object without calling
-    /// noteTrajectoryChanged(); the version counter is the contract, this
-    /// is the belt-and-braces.
-    std::array<std::uint64_t, 8> traj_fingerprint{};
-    std::array<std::uint64_t, 3> position_bits{};
-    double start_s = 0.0;
-    double total = 0.0;
-    // The fused sample pass: arc lengths, free bits, and the backward-pass
-    // free-run frontier the waypoint visibilities read.
-    std::vector<double> sample_s;
-    std::vector<char> sample_free;
-    std::vector<double> free_until;
-    std::ptrdiff_t first_blocked = -1;  ///< index of first non-free sample
-    geom::Aabb sample_bounds = geom::Aabb::empty();
-  };
-
-  /// One client key's slot in the keyed profile cache: the sample cache
-  /// plus the dirty-bounds accumulation that gates its reuse. `mutex`
-  /// serializes same-key calls; distinct keys never contend. Slots are
-  /// handed out as shared_ptr so LRU eviction can drop a slot from the
-  /// registry while a racing profiler finishes on its own reference.
-  struct ClientState {
-    std::mutex mutex;
-    ProfileCache cache;
-    geom::Aabb dirty = geom::Aabb::empty();
-    bool all_dirty = true;  ///< unknown map state until first build
-    std::uint64_t traj_version = 0;
-    std::uint64_t last_used = 0;  ///< LRU tick; guarded by clients_mutex_
-  };
-
   SolverResult solveMemoized(double budget, const SpaceProfile& profile);
-  SpaceProfile profileForClient(ClientState& state, const sim::SensorFrame& frame,
-                                const perception::OccupancyOctree& map,
-                                const planning::Trajectory& trajectory,
-                                const geom::Vec3& position, const geom::Vec3& velocity,
-                                const geom::Vec3& travel_dir);
-  /// Look up (or create, LRU-evicting beyond the pool bound) the slot for a
-  /// client key.
-  std::shared_ptr<ClientState> clientState(ClientId client);
 
   Config config_;
   TimeBudgeter budgeter_;
@@ -349,12 +249,6 @@ class DecisionEngine {
   // Sharded solver memo (allocation-free after construction).
   std::array<MemoShard, kMemoShards> memo_shards_;
 
-  // Keyed profile caches.
-  mutable std::mutex clients_mutex_;
-  std::unordered_map<ClientId, std::shared_ptr<ClientState>> clients_;
-  std::uint64_t lru_clock_ = 0;              ///< guarded by clients_mutex_
-  std::atomic<std::uint64_t> next_client_{1};
-
   // Stats: lock-free counters (relaxed; read as a snapshot by stats()).
   struct AtomicStats {
     std::atomic<std::uint64_t> decisions{0};
@@ -362,7 +256,6 @@ class DecisionEngine {
     std::atomic<std::uint64_t> solver_memo_misses{0};
     std::atomic<std::uint64_t> strategy_decisions{0};
     std::atomic<std::uint64_t> profile_builds{0};
-    std::atomic<std::uint64_t> profile_reuses{0};
   };
   AtomicStats stats_;
 };

@@ -124,8 +124,6 @@ OctomapInsertReport insertPointCloud(OccupancyOctree& tree, const PointCloud& cl
     report.volume_ingested += ray_volume;
     ++report.rays_integrated;
     if (r.hit) ++report.points_inserted;
-    report.touched.merge(cloud.origin);
-    report.touched.merge(r.end);
     report.ray_steps += static_cast<std::size_t>(std::ceil(r.length / precision));
 
     // A ray too short to have a direction marches nothing (length 0).
@@ -162,15 +160,6 @@ OctomapInsertReport insertPointCloud(OccupancyOctree& tree, const PointCloud& cl
     tree.updateRay(cloud.origin, tr.dir, cell, tr.free_length, free_level, Occupancy::Free,
                    tr.window);
     if (tr.hit) tree.updateCell(tr.end, level, Occupancy::Occupied);
-  }
-  if (report.rays_integrated > 0) {
-    // Every cell written lies on an integrated segment; widening by the
-    // coarsest written cell size makes the box cover those cells' full
-    // extents (the dirty-region contract downstream).
-    const double pad =
-        std::max(tree.cellSizeAtLevel(free_level), tree.cellSizeAtLevel(level));
-    report.touched.lo = report.touched.lo - Vec3{pad, pad, pad};
-    report.touched.hi = report.touched.hi + Vec3{pad, pad, pad};
   }
 
   // Work dedup: as the swept region becomes denser in rays than in voxels,

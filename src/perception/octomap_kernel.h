@@ -16,7 +16,6 @@
 
 #include <span>
 
-#include "geom/aabb.h"
 #include "geom/vec3.h"
 #include "perception/octree.h"
 #include "perception/point_cloud.h"
@@ -42,12 +41,6 @@ struct OctomapInsertReport {
   std::size_t rays_dropped = 0;     ///< rays discarded by the volume operator
   std::size_t points_inserted = 0;  ///< occupied endpoints written
   double volume_ingested = 0.0;     ///< m^3 actually added this sweep
-  /// Conservative cover of every tree cell this sweep may have changed
-  /// (integrated-ray extents widened by the written cell size; empty() when
-  /// nothing was integrated). Its one consumer is the decision engine's
-  /// keyed profile cache (NavigationPipeline::publishPerception forwards it),
-  /// which reuses visibility samples the change cannot have reached.
-  geom::Aabb touched = geom::Aabb::empty();
 };
 
 /// Insert one (already precision-downsampled) point cloud into the map.

@@ -5,9 +5,9 @@
 // One worker thread, two snapshot slots selected by epoch parity. The
 // mission loop's async dance per epoch N (>= 1):
 //
-//   sense N -> await()+publish sweep N-1 -> govern (octree holds sweeps
-//   0..N-1, exactly what sync's govern sees) -> submit(N) -> plan on the
-//   published snapshot of sweep N-1 (at most one sweep stale) -> fly,
+//   sense N -> await() sweep N-1 -> govern (octree holds sweeps 0..N-1,
+//   exactly what sync's govern sees) -> submit(N) -> plan on the
+//   snapshot of sweep N-1 (at most one sweep stale) -> fly,
 //   while the worker integrates sweep N.
 //
 // Epoch 0 is the pipeline fill: submit(0) then await immediately, so the
@@ -44,7 +44,7 @@ namespace roborun::runtime {
 
 class EpochExecutor {
  public:
-  /// A published sweep: the epoch it integrated and its perception products.
+  /// An integrated sweep: the epoch it integrated and its perception products.
   struct Snapshot {
     std::uint64_t epoch = 0;
     PerceptionOutcome perception;

@@ -72,7 +72,7 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
                               config.seed * 2654435761ULL + 1);
 
   // The governor core. Both designs profile space through the pipeline's
-  // DecisionEngine (its fused/cached profiler is bit-identical to the seed
+  // DecisionEngine (its fused profiler is bit-identical to the seed
   // profileSpace); RoboRun additionally budgets + solves through it. A
   // fleet-shared engine (memo pooled across tenant missions) is used when
   // the config lends one; otherwise the Eq. 4 latency model is calibrated
@@ -80,11 +80,6 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
   // strategies must stay per-mission, so the shared path is Exhaustive-only
   // (the hook's contract; see MissionConfig::shared_engine).
   if (config.shared_engine && config.solver_strategy == core::StrategyType::Exhaustive) {
-    // installEngine() acquires a fresh client key in the engine's keyed
-    // profile cache (starting all-dirty), so tenant handoffs and recycled
-    // heap addresses can never alias a previous mission's samples — no
-    // conservative whole-engine invalidation needed, and concurrent tenant
-    // missions keep their own sample caches warm.
     pipeline.installEngine(config.shared_engine);
   } else {
     core::DecisionEngine::Config engine_config;
@@ -107,8 +102,8 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
   // in-flight sweep) before the pipeline goes away, on the throw paths too.
   std::optional<EpochExecutor> executor;
   if (config.pipeline.execution == ExecutionMode::Async) executor.emplace(pipeline);
-  // The newest published snapshot, which async planning reads. Its slot is
-  // reused two submits later; this pointer moves to each publish before then.
+  // The newest awaited snapshot, which async planning reads. Its slot is
+  // reused two submits later; this pointer moves to each await before then.
   const EpochExecutor::Snapshot* snapshot = nullptr;
 
   MissionResult result;
@@ -169,16 +164,9 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
     if (spans) spans->end(obs_capture);
 
     // --- async: retire sweep N-1 (overlapped with the capture above): await
-    // its integration and publish it, so the governor and this epoch's
-    // planning see the map through N-1 ---
-    if (executor && executor->pending()) {
-      snapshot = &executor->await();
-      // The publish span belongs to the sweep being published (N-1), not
-      // the epoch consuming it; restore the loop's epoch right after.
-      if (spans) obs::SpanRecorder::setEpoch(snapshot->epoch);
-      pipeline.publishPerception(snapshot->perception);
-      if (spans) obs::SpanRecorder::setEpoch(epoch);
-    }
+    // its integration, so the governor and this epoch's planning see the
+    // map through N-1 ---
+    if (executor && executor->pending()) snapshot = &executor->await();
 
     // --- profile + govern (the pipeline's DecisionEngine owns the path).
     // Both modes govern on the octree through sweep N-1: sync inserts sweep
@@ -218,7 +206,7 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
 
     // --- execute the pipeline under the policy. Sync integrates sweep N
     // and plans on it (staleness 0). Async hands sweep N to the worker and
-    // plans on the newest published snapshot while it integrates, at most
+    // plans on the newest awaited snapshot while it integrates, at most
     // one sweep stale ---
     DecisionOutcome outcome;
     std::size_t staleness = 0;
@@ -226,11 +214,10 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
       executor->submit(epoch, frame, pos, decision.policy,
                        pipeline.goalOverride().has_value());
       if (snapshot == nullptr) {
-        // Pipeline fill (epoch 0): nothing published yet. Await sweep 0
+        // Pipeline fill (epoch 0): nothing integrated yet. Await sweep 0
         // immediately, so the first decision plans on fresh data exactly
         // like sync's first epoch; the overlap starts at epoch 1.
         snapshot = &executor->await();
-        pipeline.publishPerception(snapshot->perception);
       }
       staleness = epoch - static_cast<std::size_t>(snapshot->epoch);
       outcome =

@@ -90,11 +90,9 @@ struct MissionConfig {
   /// synchronized DecisionEngine instead of calibrating a private one —
   /// how a fleet scheduler pools one sharded solver memo across every
   /// tenant mission. The engine's answers are bit-identical regardless of
-  /// memo / cache state (see core/decision_engine.h), so sharing cannot
-  /// change any mission's result; each mission's pipeline acquires its own
-  /// key in the engine's keyed profile cache (starting all-dirty), so
-  /// concurrent tenants keep independent visibility-sample caches and
-  /// recycled heap addresses can never alias stale samples. Requirements:
+  /// memo state and its profiler keeps no state (see
+  /// core/decision_engine.h), so sharing cannot change any mission's
+  /// result. Requirements:
   /// the engine must have been calibrated against THIS config's knobs /
   /// budgeter / profiler / pipeline latency, and carry no pluggable
   /// strategy. Ignored (a private engine is built, exactly as before) when
@@ -119,7 +117,7 @@ struct MissionConfig {
 /// reaches the planner. Sync integrates it inline and plans on it
 /// (byte-identical to tests/reference_mission.h). Async integrates it on an
 /// EpochExecutor worker (runtime/epoch_executor.h) while the loop plans on
-/// the newest published snapshot, at most one sweep stale: deterministic,
+/// the newest integrated snapshot, at most one sweep stale: deterministic,
 /// same safety invariants, different numeric results.
 MissionResult runMission(const env::Environment& environment, DesignType design,
                          const MissionConfig& config = {});

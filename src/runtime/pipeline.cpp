@@ -71,17 +71,8 @@ Vec3 NavigationPipeline::selectLocalGoal(const perception::PlannerMap& map,
   return lg;
 }
 
-NavigationPipeline::~NavigationPipeline() {
-  if (engine_) engine_->releaseClient(engine_client_);
-}
-
 void NavigationPipeline::installEngine(std::shared_ptr<core::DecisionEngine> engine) {
-  if (engine_) engine_->releaseClient(engine_client_);
   engine_ = std::move(engine);
-  // A fresh client key starts all-dirty, so installing a warm shared engine
-  // can never alias another tenant's (or a dead pipeline's) samples.
-  engine_client_ =
-      engine_ ? engine_->acquireClient() : core::DecisionEngine::kDefaultClient;
 }
 
 core::EngineDecision NavigationPipeline::govern(const sim::SensorFrame& frame,
@@ -91,7 +82,7 @@ core::EngineDecision NavigationPipeline::govern(const sim::SensorFrame& frame,
         "NavigationPipeline::govern: no DecisionEngine installed (call installEngine())");
   const Vec3 travel = velocity.norm() > 0.2 ? velocity : (goal_ - position);
   return engine_->decideFromSensors(frame, *octree_, follower_.trajectory(), position,
-                                    velocity, travel, engine_client_);
+                                    velocity, travel);
 }
 
 core::SpaceProfile NavigationPipeline::profileSpace(const sim::SensorFrame& frame,
@@ -102,20 +93,17 @@ core::SpaceProfile NavigationPipeline::profileSpace(const sim::SensorFrame& fram
         "NavigationPipeline::profileSpace: no DecisionEngine installed (call installEngine())");
   const Vec3 travel = velocity.norm() > 0.2 ? velocity : (goal_ - position);
   return engine_->profile(frame, *octree_, follower_.trajectory(), position, velocity,
-                          travel, engine_client_);
+                          travel);
 }
 
 DecisionOutcome NavigationPipeline::decide(const sim::SensorFrame& frame, const Vec3& position,
                                            const core::PipelinePolicy& policy,
                                            double runtime_latency) {
-  // The sync composition of the three stage methods. Byte-identical to the
-  // pre-split monolithic decide(): the only reordering is that the engine's
-  // map-change note now happens after the bridge instead of between the
-  // kernels — unobservable, because the bridge never reads the engine.
+  // The sync composition of the two stage methods, byte-identical to the
+  // pre-split monolithic decide().
   const auto traj_positions = follower_.trajectory().positions();
   const PerceptionOutcome perception =
       integrateSweep(frame, position, policy, traj_positions, goal_override_.has_value());
-  publishPerception(perception);
   return planStage(perception, position, policy, runtime_latency);
 }
 
@@ -161,13 +149,6 @@ PerceptionOutcome NavigationPipeline::integrateSweep(const sim::SensorFrame& fra
   out.latencies.comm_map = config_.comm.cost(perception::byteSizeOf(bridge.msg));
   out.map_msg = std::move(bridge.msg);
   return out;
-}
-
-void NavigationPipeline::publishPerception(const PerceptionOutcome& perception) {
-  obs::ScopedSpan obs_span(config_.spans, obs::Stage::Publish);
-  // Feed the governor core's incremental profiler everything this sweep
-  // may have changed.
-  if (engine_) engine_->noteMapChanged(perception.octomap_report.touched, engine_client_);
 }
 
 DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perception,
@@ -260,7 +241,6 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
       out.latencies.smoothing = latency_model_.smoother(smooth.report.segments);
       planning_steps += smooth.report.check_steps;
       follower_.setTrajectory(smooth.trajectory);
-      if (engine_) engine_->noteTrajectoryChanged(engine_client_);
       out.latencies.comm_trajectory =
           config_.comm.cost(planning::byteSizeOf(smooth.trajectory));
     } else {
@@ -269,7 +249,6 @@ DecisionOutcome NavigationPipeline::planStage(const PerceptionOutcome& perceptio
       // one exists: clear it so the budgeter/profilers don't reason over a
       // path the vehicle refuses to fly.
       follower_.setTrajectory(planning::Trajectory{});
-      if (engine_) engine_->noteTrajectoryChanged(engine_client_);
     }
     out.plan_wall_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - plan_wall_start)

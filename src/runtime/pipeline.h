@@ -115,7 +115,7 @@ struct PipelineConfig {
 /// and the planner map the bridge built. Built by
 /// NavigationPipeline::integrateSweep — on the calling thread in sync mode,
 /// on the epoch executor's worker in async mode — and handed back to the
-/// pipeline via publishPerception + planStage.
+/// pipeline via planStage.
 struct PerceptionOutcome {
   /// Only the perception fields are populated: point_cloud, octomap,
   /// bridge, comm_point_cloud, comm_map. planStage fills the rest.
@@ -146,13 +146,12 @@ class NavigationPipeline {
  public:
   NavigationPipeline(const geom::Aabb& world_extent, const geom::Vec3& goal,
                      const PipelineConfig& config, std::uint64_t seed);
-  ~NavigationPipeline();
 
   /// Execute one decision with the given policy. `runtime_latency` is the
   /// governor's own cost (charged to the runtime stage). Composed of the
-  /// three stage methods below (integrateSweep -> publishPerception ->
-  /// planStage) — the composition is byte-identical to the pre-split
-  /// monolithic decide() and IS the sync execution mode.
+  /// two stage methods below (integrateSweep -> planStage) — the
+  /// composition is byte-identical to the pre-split monolithic decide() and
+  /// IS the sync execution mode.
   DecisionOutcome decide(const sim::SensorFrame& frame, const geom::Vec3& position,
                          const core::PipelinePolicy& policy, double runtime_latency);
 
@@ -160,11 +159,11 @@ class NavigationPipeline {
 
   /// Perception half of a decision: downsample the sweep, integrate it into
   /// the octree, rebuild the planner map through the bridge. Mutates ONLY
-  /// the world-model state (octree_) — no publishing, no
-  /// engine notes, no RNG — so the epoch executor may run it on its worker
-  /// thread while the calling thread governs/plans/flies on the previously
-  /// published snapshot. `traj_positions` is the planned path to prioritize
-  /// (captured by the caller; sync passes the live trajectory) and
+  /// the world-model state (octree_) — no RNG — so the epoch executor may
+  /// run it on its worker thread while the calling thread governs/plans/
+  /// flies on the previously integrated snapshot. `traj_positions` is the
+  /// planned path to prioritize (captured by the caller; sync passes the
+  /// live trajectory) and
   /// `recovery_inflation` is goal_override_.has_value() captured at the
   /// same instant (the worker must not read goal_override_ — the mission
   /// runner writes it concurrently).
@@ -173,12 +172,6 @@ class NavigationPipeline {
                                    std::span<const geom::Vec3> traj_positions,
                                    bool recovery_inflation);
 
-  /// Publish a sweep's outputs into this pipeline's side effects: the
-  /// engine's map-change note. Caller's thread only — this is the moment an
-  /// integrated sweep becomes visible to governing and planning (async
-  /// calls it when it consumes a snapshot; sync right after integrateSweep).
-  void publishPerception(const PerceptionOutcome& perception);
-
   /// Planning half of a decision: replan check against `perception`'s map,
   /// plan + smooth if needed, charge planning/comm latencies. Copies
   /// `perception`'s latencies/reports into the returned outcome so one
@@ -186,14 +179,9 @@ class NavigationPipeline {
   DecisionOutcome planStage(const PerceptionOutcome& perception, const geom::Vec3& position,
                             const core::PipelinePolicy& policy, double runtime_latency);
 
-  /// Install the shared decision engine this pipeline governs through.
-  /// The pipeline acquires its own profiling client key from the engine
-  /// (released on teardown or re-install) and feeds it the dirty-bounds /
-  /// trajectory-change notes its own decide() generates, so the engine's
-  /// keyed incremental profiler reuses this pipeline's visibility samples
-  /// across sensor epochs even when other tenants interleave on the same
-  /// engine. The engine may be shared with any number of clients (it is
-  /// internally synchronized and answers are bit-identical either way).
+  /// Install the shared decision engine this pipeline governs through. The
+  /// engine may be shared with any number of clients (it is internally
+  /// synchronized and answers are bit-identical either way).
   void installEngine(std::shared_ptr<core::DecisionEngine> engine);
   core::DecisionEngine* engine() { return engine_.get(); }
   const core::DecisionEngine* engine() const { return engine_.get(); }
@@ -238,10 +226,8 @@ class NavigationPipeline {
   std::unique_ptr<perception::OccupancyOctree> octree_;
   control::TrajectoryFollower follower_;
   /// The unified governor core (may be shared across pipelines/threads);
-  /// null until installEngine() — decide() then skips the change notes.
+  /// null until installEngine().
   std::shared_ptr<core::DecisionEngine> engine_;
-  /// This pipeline's key into the engine's keyed profile cache.
-  core::DecisionEngine::ClientId engine_client_ = core::DecisionEngine::kDefaultClient;
   // Persistent planner storage: one arena reused by every replan of this
   // pipeline (RRT* tree/grid or pooled A*) unless the config lends one.
   // Only storage persists — every search starts from scratch.

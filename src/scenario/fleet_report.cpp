@@ -178,8 +178,7 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
   os << "    \"solver_memo_misses\": " << c("engine.solver_memo_misses") << ",\n";
   os << "    \"solver_memo_hit_rate\": "
      << jsonNumber(m.gaugeOr("engine.solver_memo_hit_rate", 0.0), 4) << ",\n";
-  os << "    \"profile_builds\": " << c("engine.profile_builds") << ",\n";
-  os << "    \"profile_reuses\": " << c("engine.profile_reuses") << "\n";
+  os << "    \"profile_builds\": " << c("engine.profile_builds") << "\n";
   os << "  },\n";
   // Store traffic is a MEASUREMENT (which lookups hit depends on what some
   // earlier run inserted), so it lives here and never in the result

@@ -103,14 +103,6 @@ FleetResult FleetScheduler::run() {
     // give it headroom beyond the single-vehicle default so cross-tenant
     // reuse isn't capped by evictions.
     engine_config.solver_memo_capacity = 4096;
-    // Each concurrent mission holds one live client key (acquired at
-    // pipeline construction, released at teardown), so sizing the keyed
-    // profile-cache pool at 2x the worker count guarantees no live key is
-    // ever LRU-evicted — which keeps each tenant's build/reuse sequence a
-    // pure function of its own epoch stream, independent of thread count
-    // and dispatch mode.
-    engine_config.profile_cache_clients =
-        std::max<std::size_t>(2 * std::max<std::size_t>(config_.threads, 1), 8);
     // The shared engine's governor sub-spans (profile/budget/solve) record
     // into the same fleet-level recorder as everything else.
     engine_config.spans = config_.spans;
@@ -169,8 +161,8 @@ FleetResult FleetScheduler::run() {
       config.shared_engine = engine;
     config.pipeline.shared_arena = arenas[worker].get();
     // Thread the recorder into the tenant pipeline: the mission loop's
-    // capture/govern/fly spans and the pipeline's integrate/publish/plan/
-    // smooth spans all land in the fleet trace under this worker's lane.
+    // capture/govern/fly spans and the pipeline's integrate/plan/smooth
+    // spans all land in the fleet trace under this worker's lane.
     config.pipeline.spans = spans;
     const auto started = std::chrono::steady_clock::now();
     // Crash isolation + bounded retries. An exception escaping the mission

@@ -8,7 +8,8 @@
 //   * one internally synchronized core::DecisionEngine shared by every
 //     tenant mission (MissionConfig::shared_engine) — the Eq. 3 solver memo
 //     warms across scenarios, the cross-tenant hit-rate is the fleet bench's
-//     headline metric;
+//     headline metric; its space profiler keeps no per-tenant state, so
+//     tenants share nothing but the memo;
 //   * one planning::PlannerArena per WORKER (PipelineConfig::shared_arena),
 //     so steady-state replanning stays allocation-free across the missions
 //     a worker serves back to back.
@@ -29,9 +30,10 @@
 // identical — results land at their case index, missions are independently
 // seeded, and the shared engine/arena infrastructure answers bit-identically
 // regardless of pool state (see decision_engine.h / planner_arena.h).
-// Only the wall-time fields and the engine counters (which hits land where
-// is a race) vary run to run; tools keep those out of the deterministic
-// report (fleet_report.h).
+// Only the wall-time fields and the engine's memo hit/miss split (which hits
+// land where is a race) vary run to run; tools keep those out of the
+// deterministic report (fleet_report.h). The engine's decision and
+// profile_builds counts are schedule-independent.
 //
 // Fault isolation: a mission that throws (a poisoned fault plan, a bug in a
 // pipeline) is caught at its worker and lands as a structured Crashed row at

@@ -308,27 +308,5 @@ TEST(DecisionEngineConcurrencyTest, ShardedMemoStaysExactUnderConcurrentMixedKey
   EXPECT_GE(stats.solver_memo_hits, total - kThreads * pool.size());
 }
 
-TEST(DecisionEngineClientTest, AcquireReleaseKeepsClientCachesIndependent) {
-  // Client-key API basics: acquired keys are distinct (and never the
-  // default key), releasing is idempotent, and a released-then-reacquired
-  // key starts all-dirty rather than inheriting stale state.
-  DecisionEngine::Config config;
-  DecisionEngine engine(config, calibrated());
-  const DecisionEngine::ClientId a = engine.acquireClient();
-  const DecisionEngine::ClientId b = engine.acquireClient();
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, DecisionEngine::kDefaultClient);
-  EXPECT_NE(b, DecisionEngine::kDefaultClient);
-  // Notes on any key (live, released, or never acquired) must be safe.
-  engine.noteTrajectoryChanged(a);
-  engine.noteMapChangedEverywhere(b);
-  engine.noteTrajectoryChanged(DecisionEngine::kDefaultClient);
-  engine.releaseClient(a);
-  engine.releaseClient(a);  // double-release: no-op
-  engine.noteTrajectoryChanged(a);  // post-release note: recreates all-dirty state
-  engine.releaseClient(DecisionEngine::kDefaultClient);
-  engine.reset();
-}
-
 }  // namespace
 }  // namespace roborun::core

@@ -527,12 +527,6 @@ void expectSameReport(const OctomapInsertReport& a, const OctomapInsertReport& b
   EXPECT_EQ(a.rays_dropped, b.rays_dropped);
   EXPECT_EQ(a.points_inserted, b.points_inserted);
   EXPECT_EQ(a.volume_ingested, b.volume_ingested);
-  EXPECT_EQ(a.touched.lo.x, b.touched.lo.x);
-  EXPECT_EQ(a.touched.lo.y, b.touched.lo.y);
-  EXPECT_EQ(a.touched.lo.z, b.touched.lo.z);
-  EXPECT_EQ(a.touched.hi.x, b.touched.hi.x);
-  EXPECT_EQ(a.touched.hi.y, b.touched.hi.y);
-  EXPECT_EQ(a.touched.hi.z, b.touched.hi.z);
 }
 
 /// expectSameTree plus query() and queryAtLevel() at every level over a grid

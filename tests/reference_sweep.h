@@ -76,8 +76,6 @@ inline OctomapInsertReport insertSweep(OccupancyOctree& tree, const PointCloud& 
     report.volume_ingested += ray_volume;
     ++report.rays_integrated;
     if (r.hit) ++report.points_inserted;
-    report.touched.merge(cloud.origin);
-    report.touched.merge(r.end);
     const geom::Vec3 d = r.end - cloud.origin;
     const double len = d.norm();
     if (len > 1e-9) {
@@ -86,11 +84,6 @@ inline OctomapInsertReport insertSweep(OccupancyOctree& tree, const PointCloud& 
     }
     if (r.hit) tree.updateCell(r.end, level, Occupancy::Occupied);
     report.ray_steps += static_cast<std::size_t>(std::ceil(r.length / precision));
-  }
-  if (report.rays_integrated > 0) {
-    const double pad = std::max(cell, tree.cellSizeAtLevel(level));
-    report.touched.lo = report.touched.lo - geom::Vec3{pad, pad, pad};
-    report.touched.hi = report.touched.hi + geom::Vec3{pad, pad, pad};
   }
   const double voxel_cap =
       std::max(1.0, report.volume_ingested / (precision * precision * precision));

@@ -115,7 +115,7 @@ void usage(std::ostream& os) {
         "\n"
         "--trace-out records every stage span the fleet executes (store\n"
         "lookups, retries, and each tenant mission's capture/integrate/\n"
-        "publish/govern/plan/smooth/fly stages across all worker lanes) as\n"
+        "govern/plan/smooth/fly stages across all worker lanes) as\n"
         "Chrome trace_event JSON — open it in about:tracing or Perfetto.\n"
         "Tracing is a measurement channel: --out stays byte-identical with\n"
         "or without it.\n";
