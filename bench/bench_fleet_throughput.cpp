@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
       identical = false;
     }
   }
-  // Engine-counter gate: every mission profiles once per fused epoch, so
+  // Engine-counter gate: every mission profiles once per epoch, so
   // the fleet-wide profile count (and the total solve count — the hit/miss
   // SPLIT is scheduling-dependent, the sum is not) must agree across thread
   // counts and dispatch modes for the shared-engine variants.

@@ -17,7 +17,8 @@
 // Section 2 (sensor path) replays a flown schedule — sensor frames, a live
 // octree accreting sweeps, hover phases — through the seed composition
 // (core::profileSpace + frozen governor) and through
-// DecisionEngine::decideFromSensors (adds the fused profiler win).
+// DecisionEngine::decideFromSensors (the same profileSpace call plus the
+// memoized solve).
 //
 // Every variant must produce bit-identical decisions (and profiles) at
 // every step — the bench exits nonzero if they diverge, so a perf number

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numbers>
 
 #include "core/latency_calibration.h"
 
@@ -192,114 +191,17 @@ EngineDecision DecisionEngine::decideFromSensors(const sim::SensorFrame& frame,
   return out;
 }
 
-// --- fused space profiling --------------------------------------------------
+// --- space profiling --------------------------------------------------------
 
 SpaceProfile DecisionEngine::profile(const sim::SensorFrame& frame,
                                      const perception::OccupancyOctree& map,
                                      const planning::Trajectory& trajectory,
                                      const geom::Vec3& position, const geom::Vec3& velocity,
                                      const geom::Vec3& travel_dir) {
-  using geom::Vec3;
-
-  const double unknown_step = config_.profiler.unknown_probe_step;
-  const double probe = std::max(unknown_step, 0.25);
-  // The seed runs two sampling passes along the trajectory: the d_unknown
-  // probe (step = unknown_probe_step, early break at the first non-free
-  // cell) and the waypoint visibility pass (step = probe, full length).
-  // When both run at the same step — the default — they query the same
-  // points, so one fused pass serves both.
-  const bool fused = trajectory.size() >= 2 && unknown_step == probe;
-  if (!fused) {
-    // Non-fusable shapes (empty or single-point trajectory, or an
-    // unknown_probe_step below the waypoint probe floor, where the seed's
-    // two passes differ in step width): run the seed path itself — one
-    // copy of that logic, trivially identical.
-    return profileSpace(frame, map, trajectory, position, velocity, travel_dir,
-                        config_.profiler);
-  }
-
-  SpaceProfile profile;
-  profile.position = position;
-  profile.velocity = velocity.norm();
-
-  const GapStats gaps = profileGaps(frame, config_.profiler);
-  profile.gap_avg = gaps.average;
-  profile.gap_min = gaps.minimum;
-  profile.d_obstacle = frame.closestHit();
-
-  profile.sensor_volume =
-      4.0 / 3.0 * std::numbers::pi * frame.max_range * frame.max_range * frame.max_range;
-  profile.map_volume = map.stats().mappedVolume();
-
-  const Vec3 dir = travel_dir.norm() > 1e-6 ? travel_dir.normalized() : Vec3{1, 0, 0};
-  profile.visibility = std::max(frame.visibilityAlong(dir), 1.0);
-
-  profile.d_unknown = frame.max_range;
-
-  // The fused sample pass: arc lengths, free bits, and the index of the
-  // first non-free sample.
-  const double total = trajectory.length();
-  const double start_s = trajectory.closestArcLength(position);
-  std::vector<double> sample_s;
-  std::vector<char> sample_free;
-  std::ptrdiff_t first_blocked = -1;
-  for (double s = start_s; s <= total; s += probe) {
-    const bool free =
-        map.query(trajectory.sampleAtArcLength(s)) == perception::Occupancy::Free;
-    if (!free && first_blocked < 0)
-      first_blocked = static_cast<std::ptrdiff_t>(sample_s.size());
-    sample_s.push_back(s);
-    sample_free.push_back(free ? 1 : 0);
-  }
-  // free_until[j]: arc length of the first non-free sample at or after j
-  // (the seed's backward pass, verbatim).
-  std::vector<double> free_until(sample_s.size(), total);
-  double frontier = sample_s.empty() ? start_s : sample_s.back() + probe;
-  for (std::size_t j = sample_s.size(); j-- > 0;) {
-    if (!sample_free[j]) frontier = sample_s[j];
-    free_until[j] = frontier;
-  }
-  stats_.profile_builds.fetch_add(1, std::memory_order_relaxed);
-
-  // d_unknown from the fused samples: the first non-free sample is exactly
-  // where the seed's early-breaking probe loop stopped.
-  if (first_blocked >= 0)
-    profile.d_unknown =
-        std::max(sample_s[static_cast<std::size_t>(first_blocked)] - start_s, 0.5);
-
-  auto visibilityAt = [&](double s) {
-    if (sample_s.empty()) return 1.0;
-    const auto idx = static_cast<std::size_t>(std::clamp(
-        (s - start_s) / probe, 0.0, static_cast<double>(sample_s.size() - 1)));
-    // Not std::clamp: max_range can fall below 0.5, which breaks its
-    // lo <= hi precondition. This is libstdc++'s clamp body, so the result
-    // is unchanged (max_range wins when it is below the floor).
-    return std::min(std::max(free_until[idx] - s, 0.5), frame.max_range);
-  };
-
-  profile.waypoints.push_back(
-      {position, std::max(profile.velocity, 0.05), profile.visibility, 0.0});
-  const double start_t = trajectory.duration() * (total > 1e-9 ? start_s / total : 0.0);
-  double prev_t = start_t;
-  const auto& pts = trajectory.points();
-  double acc_s = 0.0;
-  for (std::size_t i = 0;
-       i < pts.size() && profile.waypoints.size() < config_.profiler.waypoint_horizon;
-       ++i) {
-    if (i > 0) acc_s += pts[i].position.dist(pts[i - 1].position);
-    if (pts[i].time < start_t) continue;
-    WaypointState ws;
-    ws.position = pts[i].position;
-    ws.velocity = std::max(pts[i].velocity, 0.1);
-    ws.visibility = visibilityAt(std::max(acc_s, start_s));
-    ws.flight_time_from_prev = std::max(pts[i].time - prev_t, 0.0);
-    prev_t = pts[i].time;
-    profile.waypoints.push_back(ws);
-  }
-  // The fused path always has >= 2 trajectory points, so W0 was pushed
-  // above and the seed's empty-waypoints hover fallback (handled by
-  // profileSpace for the non-fused shapes) cannot trigger here.
-  return profile;
+  // profileSpace samples occupancy along the trajectory only when it has at
+  // least two points; profile_builds counts those sample passes.
+  if (trajectory.size() >= 2) stats_.profile_builds.fetch_add(1, std::memory_order_relaxed);
+  return profileSpace(frame, map, trajectory, position, velocity, travel_dir, config_.profiler);
 }
 
 void DecisionEngine::selectStrategy(StrategyType type, int patience) {

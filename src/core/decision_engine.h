@@ -10,8 +10,8 @@
 //
 // It is the only RoboRun governor in src/ (every RoboRun mission decides
 // through it), and it stays bit-identical to the seed implementation
-// (frozen as tests/reference_governor.h) while adding a solver memo and a
-// fused profiler for decision-heavy traffic:
+// (frozen as tests/reference_governor.h) while adding a solver memo for
+// decision-heavy traffic:
 //
 //  * Solver memoization. The exhaustive Eq. 3 enumeration
 //    (GovernorSolver::pick) is a pure function of (knob budget,
@@ -26,12 +26,8 @@
 //    what enumeration would have produced — quantization can only cost
 //    hits, never correctness.
 //
-//  * Fused space profiling. The only map-dependent (and dominant) part of
-//    profileSpace is the occupancy sample pass along the trajectory; the
-//    engine fuses the seed's two passes (d_unknown probe + waypoint
-//    visibility sampling) into one. Every call samples from scratch, so the
-//    profile is a pure function of its inputs and bit-identical to
-//    core::profileSpace.
+// Space profiling is core::profileSpace itself: every call samples from
+// scratch, so the profile is a pure function of its inputs.
 //
 // Sharing contract (the fleet shape). One engine instance may be shared by
 // any number of governor clients on any number of threads; because every
@@ -97,7 +93,7 @@ struct EngineStats {
   std::uint64_t solver_memo_hits = 0;
   std::uint64_t solver_memo_misses = 0;  ///< exhaustive enumerations run
   std::uint64_t strategy_decisions = 0;  ///< routed to a pluggable strategy
-  std::uint64_t profile_builds = 0;  ///< fused sample passes run
+  std::uint64_t profile_builds = 0;  ///< trajectory sample passes run
   /// Always 0: every profile is sampled from scratch. Declared only because
   /// perfbench's stat summing still names it.
   std::uint64_t profile_reuses = 0;
@@ -112,7 +108,8 @@ struct EngineStats {
   /// fleet-shared engine this is the cross-tenant warmth metric: which hits
   /// land is scheduling-dependent, so treat it as a measurement — like wall
   /// time, never part of the deterministic replay contract. (profile_builds,
-  /// by contrast, IS schedule-independent: one per fused profile.)
+  /// by contrast, IS schedule-independent: one per profile of a trajectory
+  /// with at least two points.)
   double solverMemoHitRate() const {
     const std::uint64_t solved = solver_memo_hits + solver_memo_misses;
     return solved == 0 ? 0.0 : static_cast<double>(solver_memo_hits) /
@@ -174,15 +171,15 @@ class DecisionEngine {
   GovernorDecision blackoutFallback(const SpaceProfile& profile) const;
 
   /// The full per-decision path: profile space from the live sensor frame /
-  /// map / trajectory (fused sampling), then decide().
+  /// map / trajectory, then decide().
   EngineDecision decideFromSensors(const sim::SensorFrame& frame,
                                    const perception::OccupancyOctree& map,
                                    const planning::Trajectory& trajectory,
                                    const geom::Vec3& position, const geom::Vec3& velocity,
                                    const geom::Vec3& travel_dir);
 
-  /// Space profiling only (the engine's fused path). Bit-identical to
-  /// core::profileSpace on the same inputs. Stateless and thread-safe.
+  /// Space profiling only: core::profileSpace under this engine's
+  /// ProfilerConfig, counted in profile_builds. Stateless and thread-safe.
   SpaceProfile profile(const sim::SensorFrame& frame,
                        const perception::OccupancyOctree& map,
                        const planning::Trajectory& trajectory, const geom::Vec3& position,

@@ -139,7 +139,10 @@ SpaceProfile profileSpace(const sim::SensorFrame& frame,
       if (sample_s.empty()) return 1.0;
       const auto idx = static_cast<std::size_t>(
           std::clamp((s - start_s) / probe, 0.0, static_cast<double>(sample_s.size() - 1)));
-      return std::clamp(free_until[idx] - s, 0.5, frame.max_range);
+      // Not std::clamp: max_range can fall below 0.5, which breaks its
+      // lo <= hi precondition. This is libstdc++'s clamp body, so the result
+      // is unchanged (max_range wins when it is below the floor).
+      return std::min(std::max(free_until[idx] - s, 0.5), frame.max_range);
     };
 
     // Algorithm 1's W0 is the *current state*; upcoming trajectory points

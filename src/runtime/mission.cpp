@@ -72,9 +72,8 @@ MissionResult runMission(const env::Environment& environment, DesignType design,
                               config.seed * 2654435761ULL + 1);
 
   // The governor core. Both designs profile space through the pipeline's
-  // DecisionEngine (its fused profiler is bit-identical to the seed
-  // profileSpace); RoboRun additionally budgets + solves through it. A
-  // fleet-shared engine (memo pooled across tenant missions) is used when
+  // DecisionEngine (which calls core::profileSpace); RoboRun additionally
+  // budgets + solves through it. A fleet-shared engine (memo pooled across tenant missions) is used when
   // the config lends one; otherwise the Eq. 4 latency model is calibrated
   // once at startup, behind the engine boundary. Stateful solver
   // strategies must stay per-mission, so the shared path is Exhaustive-only
