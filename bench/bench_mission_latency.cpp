@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "env/env_gen.h"
+#include "geom/stats.h"
 #include "reference_mission.h"
 #include "runtime/designs.h"
 #include "runtime/mission.h"
@@ -80,14 +81,9 @@ env::Environment benchEnvironment(std::uint64_t seed) {
   return env::generateEnvironment(spec);
 }
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double idx = p * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
+/// geom::percentile of the epoch samples, or 0 when a mode recorded none.
+double epochPercentile(const std::vector<double>& v, double p) {
+  return v.empty() ? 0.0 : geom::percentile(v, p);
 }
 
 /// Run one mission in `mode`, appending epoch wall samples and staleness
@@ -121,8 +117,8 @@ void emitMode(std::ostream& os, const char* name, const ModeStats& s) {
   os << "    \"" << name << "\": {\n"
      << "      \"wall_s\": " << s.wall_s << ",\n"
      << "      \"decisions\": " << s.decisions << ",\n"
-     << "      \"epoch_ms_p50\": " << percentile(s.epoch_ms, 0.50) << ",\n"
-     << "      \"epoch_ms_p95\": " << percentile(s.epoch_ms, 0.95) << ",\n"
+     << "      \"epoch_ms_p50\": " << epochPercentile(s.epoch_ms, 0.50) << ",\n"
+     << "      \"epoch_ms_p95\": " << epochPercentile(s.epoch_ms, 0.95) << ",\n"
      << "      \"epoch_ms_max\": "
      << (s.epoch_ms.empty() ? 0.0 : *std::max_element(s.epoch_ms.begin(), s.epoch_ms.end()))
      << ",\n"
@@ -224,11 +220,11 @@ int main(int argc, char** argv) {
       async_stats.wall_s > 0.0 ? sync_stats.wall_s / async_stats.wall_s : 0.0;
   std::cout << "mission_latency (" << (smoke ? "smoke" : "full") << ")\n"
             << "  sync : wall " << sync_stats.wall_s << " s, epoch p50 "
-            << percentile(sync_stats.epoch_ms, 0.50) << " ms, p95 "
-            << percentile(sync_stats.epoch_ms, 0.95) << " ms\n"
+            << epochPercentile(sync_stats.epoch_ms, 0.50) << " ms, p95 "
+            << epochPercentile(sync_stats.epoch_ms, 0.95) << " ms\n"
             << "  async: wall " << async_stats.wall_s << " s, epoch p50 "
-            << percentile(async_stats.epoch_ms, 0.50) << " ms, p95 "
-            << percentile(async_stats.epoch_ms, 0.95) << " ms, stale-one "
+            << epochPercentile(async_stats.epoch_ms, 0.50) << " ms, p95 "
+            << epochPercentile(async_stats.epoch_ms, 0.95) << " ms, stale-one "
             << async_stats.stale_one << "/"
             << (async_stats.stale_zero + async_stats.stale_one) << "\n"
             << "  speedup (sync/async wall): " << speedup << "x\n";

@@ -235,20 +235,4 @@ void DecisionEngine::resetStats() {
   stats_.profile_builds.store(0, std::memory_order_relaxed);
 }
 
-void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
-                 std::string_view prefix) {
-  auto name = [&](const char* field) {
-    std::string s(prefix);
-    s += '.';
-    s += field;
-    return s;
-  };
-  registry.counter(name("decisions")).add(stats.decisions);
-  registry.counter(name("solver_memo_hits")).add(stats.solver_memo_hits);
-  registry.counter(name("solver_memo_misses")).add(stats.solver_memo_misses);
-  registry.counter(name("strategy_decisions")).add(stats.strategy_decisions);
-  registry.counter(name("profile_builds")).add(stats.profile_builds);
-  registry.gauge(name("solver_memo_hit_rate")).set(stats.solverMemoHitRate());
-}
-
 }  // namespace roborun::core

@@ -71,7 +71,6 @@
 #include "core/solver.h"
 #include "core/strategies.h"
 #include "core/time_budgeter.h"
-#include "obs/metrics_registry.h"
 #include "obs/span_recorder.h"
 
 namespace roborun::sim {
@@ -87,7 +86,9 @@ struct EngineDecision {
   GovernorDecision decision;
 };
 
-/// Monotonic counters since construction (or the last resetStats()).
+/// Monotonic counters since construction (or the last resetStats()). A
+/// plain struct is the whole stats API: fleet reports, benches and
+/// perfbench read these fields directly.
 struct EngineStats {
   std::uint64_t decisions = 0;
   std::uint64_t solver_memo_hits = 0;
@@ -116,14 +117,6 @@ struct EngineStats {
                                    static_cast<double>(solved);
   }
 };
-
-/// Adapter into the observability spine: publish these counters into a
-/// MetricsRegistry under `<prefix>.<field>` (counters for the monotonic
-/// counts, a gauge for the derived hit rate). This is how
-/// legacy stat structs flow into the one snapshot/delta API reports
-/// consume — see obs/metrics_registry.h.
-void exportStats(const EngineStats& stats, obs::MetricsRegistry& registry,
-                 std::string_view prefix = "engine");
 
 class DecisionEngine {
  public:

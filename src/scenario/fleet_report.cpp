@@ -1,8 +1,11 @@
 #include "scenario/fleet_report.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <ostream>
-#include <vector>
 
+#include "geom/stats.h"
 #include "obs/json.h"
 
 namespace roborun::scenario {
@@ -10,42 +13,49 @@ namespace roborun::scenario {
 using obs::jsonEscape;
 using obs::jsonNumber;
 
-void observeEpochStaleness(runtime::MissionConfig& config,
-                           obs::MetricsRegistry& registry) {
-  // Resolved once: workers then record through lock-free relaxed atomics.
-  obs::Histogram* staleness = &registry.histogram("epoch_staleness");
-  obs::Counter* fresh = &registry.counter("epoch_staleness_fresh");
-  obs::Counter* stale_one = &registry.counter("epoch_staleness_stale_one");
-  obs::Counter* stale_over = &registry.counter("epoch_staleness_stale_over");
-  config.decision_observer = [=](std::size_t, std::size_t age) {
-    staleness->record(static_cast<double>(age));
-    (age == 0 ? fresh : age == 1 ? stale_one : stale_over)->add();
-  };
+void EpochStaleness::record(std::size_t age) {
+  if (age == 0) {
+    fresh_.fetch_add(1, std::memory_order_relaxed);
+  } else if (age == 1) {
+    stale_one_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    std::lock_guard<std::mutex> lock(over_mu_);
+    over_.push_back(age);
+  }
 }
 
-obs::MetricsSnapshot fleetMetricsSnapshot(const FleetResult& result,
-                                          const obs::MetricsSnapshot& epochs) {
-  obs::MetricsRegistry registry;
-  core::exportStats(result.engine, registry, "engine");
-  store::exportStats(result.store, registry, "store");
-  registry.gauge("fleet.wall_s").set(result.wall_s);
-  registry.gauge("fleet.missions_per_sec").set(result.missions_per_sec);
-  registry.counter("fleet.missions").add(result.rows.size());
-  obs::Histogram& mission_wall = registry.histogram("fleet.mission_wall_ms");
-  obs::Histogram& plan_wall = registry.histogram("fleet.plan_wall_ms");
-  obs::Histogram& decision_wall = registry.histogram("fleet.decision_wall_ms");
-  obs::Counter& decisions = registry.counter("fleet.decisions");
-  for (const FleetRow& row : result.rows) {
-    mission_wall.record(row.wall_ms);
-    plan_wall.record(row.result.planner_wall_ms);
-    decision_wall.record(row.result.decision_wall_ms);
-    decisions.add(row.result.decisions());
-  }
-  obs::MetricsSnapshot snapshot = registry.snapshot();
-  snapshot.counters.insert(epochs.counters.begin(), epochs.counters.end());
-  snapshot.gauges.insert(epochs.gauges.begin(), epochs.gauges.end());
-  snapshot.histograms.insert(epochs.histograms.begin(), epochs.histograms.end());
-  return snapshot;
+std::uint64_t EpochStaleness::staleOver() const {
+  std::lock_guard<std::mutex> lock(over_mu_);
+  return over_.size();
+}
+
+double EpochStaleness::mean() const {
+  const std::uint64_t n = epochs();
+  if (n == 0) return 0.0;
+  std::lock_guard<std::mutex> lock(over_mu_);
+  const std::uint64_t sum =
+      std::accumulate(over_.begin(), over_.end(), staleOne());
+  return static_cast<double>(sum) / static_cast<double>(n);
+}
+
+double EpochStaleness::p95() const {
+  const std::uint64_t n = epochs();
+  if (n == 0) return 0.0;
+  // Nearest rank: the smallest age whose cumulative count covers 95%.
+  const std::uint64_t rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(0.95 * static_cast<double>(n))), 1, n);
+  if (rank <= fresh()) return 0.0;
+  if (rank <= fresh() + staleOne()) return 1.0;
+  std::lock_guard<std::mutex> lock(over_mu_);
+  std::vector<std::size_t> sorted = over_;
+  std::sort(sorted.begin(), sorted.end());
+  return static_cast<double>(sorted[rank - fresh() - staleOne() - 1]);
+}
+
+void observeEpochStaleness(runtime::MissionConfig& config, EpochStaleness& staleness) {
+  config.decision_observer = [&staleness](std::size_t, std::size_t age) {
+    staleness.record(age);
+  };
 }
 
 void writeFleetJson(std::ostream& os, const FleetResult& result,
@@ -132,34 +142,37 @@ void writeFleetJson(std::ostream& os, const FleetResult& result,
 
 namespace {
 
-obs::HistogramSummary histogramOr(const obs::MetricsSnapshot& m,
-                                  const std::string& name) {
-  const auto it = m.histograms.find(name);
-  return it == m.histograms.end() ? obs::HistogramSummary{} : it->second;
-}
-
-/// One wall histogram as {count, mean, p50, p95, p99, max, sum}: the shape
-/// every stage-wall consumer (dashboards, trend diffing) reads. Percentiles
-/// are bucket-quantized (obs/metrics_registry.h).
-void writeStage(std::ostream& os, const obs::HistogramSummary& h, int decimals) {
-  os << "{\"count\": " << h.count << ", \"mean\": " << jsonNumber(h.mean(), decimals)
-     << ", \"p50\": " << jsonNumber(h.p50, decimals)
-     << ", \"p95\": " << jsonNumber(h.p95, decimals)
-     << ", \"p99\": " << jsonNumber(h.p99, decimals)
-     << ", \"max\": " << jsonNumber(h.max, decimals)
-     << ", \"sum\": " << jsonNumber(h.sum, decimals) << "}";
+/// One per-case wall series as {count, mean, p50, p95, p99, max, sum}: the
+/// shape every stage-wall consumer (dashboards, trend diffing) reads. The
+/// percentiles are geom::percentile's, exact over the recorded walls.
+void writeStage(std::ostream& os, const std::vector<double>& walls, int decimals) {
+  const double sum = std::accumulate(walls.begin(), walls.end(), 0.0);
+  const bool empty = walls.empty();
+  const double mean = empty ? 0.0 : sum / static_cast<double>(walls.size());
+  const auto pct = [&](double p) { return empty ? 0.0 : geom::percentile(walls, p); };
+  os << "{\"count\": " << walls.size() << ", \"mean\": " << jsonNumber(mean, decimals)
+     << ", \"p50\": " << jsonNumber(pct(0.50), decimals)
+     << ", \"p95\": " << jsonNumber(pct(0.95), decimals)
+     << ", \"p99\": " << jsonNumber(pct(0.99), decimals)
+     << ", \"max\": " << jsonNumber(empty ? 0.0 : geom::maxOf(walls), decimals)
+     << ", \"sum\": " << jsonNumber(sum, decimals) << "}";
 }
 
 }  // namespace
 
 void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
                          const std::string& catalog_label,
-                         const obs::MetricsSnapshot& epochs) {
-  // Every engine/store number below reads from the SAME adapted snapshot
-  // fleet_runner's stderr summary prints — one measurement source, two
-  // renderings, no drift.
-  const obs::MetricsSnapshot m = fleetMetricsSnapshot(result, epochs);
-  auto c = [&](const char* name) { return m.counterOr(name, 0); };
+                         const EpochStaleness& epochs) {
+  const core::EngineStats& engine = result.engine;
+  const store::StoreStats& store = result.store;
+  std::vector<double> mission_wall, plan_wall, decision_wall;
+  std::uint64_t decisions = 0;
+  for (const FleetRow& row : result.rows) {
+    mission_wall.push_back(row.wall_ms);
+    plan_wall.push_back(row.result.planner_wall_ms);
+    decision_wall.push_back(row.result.decision_wall_ms);
+    decisions += row.result.decisions();
+  }
   os << "{\n";
   os << "  \"schema\": \"roborun-fleet-throughput-v1\",\n";
   os << "  \"catalog\": \"" << jsonEscape(catalog_label) << "\",\n";
@@ -168,60 +181,57 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
   os << "  \"pipeline\": \"" << runtime::executionModeName(result.pipeline) << "\",\n";
   os << "  \"scenarios\": " << result.shards.size() << ",\n";
   os << "  \"missions\": " << result.rows.size() << ",\n";
-  os << "  \"wall_s\": " << jsonNumber(m.gaugeOr("fleet.wall_s", 0.0)) << ",\n";
-  os << "  \"missions_per_sec\": "
-     << jsonNumber(m.gaugeOr("fleet.missions_per_sec", 0.0), 3) << ",\n";
+  os << "  \"wall_s\": " << jsonNumber(result.wall_s) << ",\n";
+  os << "  \"missions_per_sec\": " << jsonNumber(result.missions_per_sec, 3) << ",\n";
   os << "  \"engine\": {\n";
   os << "    \"shared\": " << (result.engine_shared ? "true" : "false") << ",\n";
-  os << "    \"decisions\": " << c("engine.decisions") << ",\n";
-  os << "    \"solver_memo_hits\": " << c("engine.solver_memo_hits") << ",\n";
-  os << "    \"solver_memo_misses\": " << c("engine.solver_memo_misses") << ",\n";
-  os << "    \"solver_memo_hit_rate\": "
-     << jsonNumber(m.gaugeOr("engine.solver_memo_hit_rate", 0.0), 4) << ",\n";
-  os << "    \"profile_builds\": " << c("engine.profile_builds") << "\n";
+  os << "    \"decisions\": " << engine.decisions << ",\n";
+  os << "    \"solver_memo_hits\": " << engine.solver_memo_hits << ",\n";
+  os << "    \"solver_memo_misses\": " << engine.solver_memo_misses << ",\n";
+  os << "    \"solver_memo_hit_rate\": " << jsonNumber(engine.solverMemoHitRate(), 4)
+     << ",\n";
+  os << "    \"profile_builds\": " << engine.profile_builds << "\n";
   os << "  },\n";
   // Store traffic is a MEASUREMENT (which lookups hit depends on what some
   // earlier run inserted), so it lives here and never in the result
   // document — the --out report stays byte-identical warm or cold.
   os << "  \"store\": {\n";
   os << "    \"enabled\": " << (result.store_enabled ? "true" : "false") << ",\n";
-  os << "    \"lookups\": " << c("store.lookups") << ",\n";
-  os << "    \"hits\": " << c("store.hits") << ",\n";
-  os << "    \"hits_memory\": " << c("store.hits_memory") << ",\n";
-  os << "    \"hits_disk\": " << c("store.hits_disk") << ",\n";
-  os << "    \"misses\": " << c("store.misses") << ",\n";
-  os << "    \"hit_rate\": " << jsonNumber(m.gaugeOr("store.hit_rate", 0.0), 4) << ",\n";
-  os << "    \"inserts\": " << c("store.inserts") << ",\n";
-  os << "    \"readonly_skips\": " << c("store.readonly_skips") << ",\n";
-  os << "    \"corrupt_rejected\": " << c("store.corrupt_rejected") << "\n";
+  os << "    \"lookups\": " << store.lookups << ",\n";
+  os << "    \"hits\": " << store.hits() << ",\n";
+  os << "    \"hits_memory\": " << store.hits_memory << ",\n";
+  os << "    \"hits_disk\": " << store.hits_disk << ",\n";
+  os << "    \"misses\": " << store.misses << ",\n";
+  os << "    \"hit_rate\": " << jsonNumber(store.hitRate(), 4) << ",\n";
+  os << "    \"inserts\": " << store.inserts << ",\n";
+  os << "    \"readonly_skips\": " << store.readonly_skips << ",\n";
+  os << "    \"corrupt_rejected\": " << store.corrupt_rejected << "\n";
   os << "  },\n";
   // Governor throughput in mission: decisions over the summed governor
   // wall of every case (0 when nothing decided, never NaN).
-  const obs::HistogramSummary decision_wall = histogramOr(m, "fleet.decision_wall_ms");
-  const obs::HistogramSummary age = histogramOr(m, "epoch_staleness");
-  const double decision_s = decision_wall.sum / 1000.0;
-  const double decisions = static_cast<double>(c("fleet.decisions"));
+  const double decision_s =
+      std::accumulate(decision_wall.begin(), decision_wall.end(), 0.0) / 1000.0;
   os << "  \"timing\": {\n";
-  os << "    \"total_decisions\": " << c("fleet.decisions") << ",\n";
+  os << "    \"total_decisions\": " << decisions << ",\n";
   os << "    \"decisions_per_sec\": "
-     << jsonNumber(decision_s > 0.0 ? decisions / decision_s : 0.0, 1)
+     << jsonNumber(decision_s > 0.0 ? static_cast<double>(decisions) / decision_s : 0.0, 1)
      << ",\n";
   os << "    \"stages\": {\n";
   os << "      \"mission_wall_ms\": ";
-  writeStage(os, histogramOr(m, "fleet.mission_wall_ms"), 3);
+  writeStage(os, mission_wall, 3);
   os << ",\n      \"plan_wall_ms\": ";
-  writeStage(os, histogramOr(m, "fleet.plan_wall_ms"), 3);
+  writeStage(os, plan_wall, 3);
   os << ",\n      \"decision_wall_ms\": ";
   writeStage(os, decision_wall, 4);
   os << "\n    },\n";
   // The async executor's bounded-staleness contract, per epoch: fresh or
   // stale by one; stale_over would be a violation.
-  os << "    \"epoch_staleness\": {\"epochs\": " << age.count
-     << ", \"fresh\": " << c("epoch_staleness_fresh")
-     << ", \"stale_one\": " << c("epoch_staleness_stale_one")
-     << ", \"stale_over\": " << c("epoch_staleness_stale_over")
-     << ", \"mean\": " << jsonNumber(age.mean(), 4)
-     << ", \"p95\": " << jsonNumber(age.p95, 4) << "},\n";
+  os << "    \"epoch_staleness\": {\"epochs\": " << epochs.epochs()
+     << ", \"fresh\": " << epochs.fresh()
+     << ", \"stale_one\": " << epochs.staleOne()
+     << ", \"stale_over\": " << epochs.staleOver()
+     << ", \"mean\": " << jsonNumber(epochs.mean(), 4)
+     << ", \"p95\": " << jsonNumber(epochs.p95(), 4) << "},\n";
   os << "    \"cases\": [\n";
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     const FleetRow& row = result.rows[i];

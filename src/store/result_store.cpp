@@ -60,27 +60,6 @@ StoreStats StoreStats::minus(const StoreStats& since) const {
   return d;
 }
 
-void exportStats(const StoreStats& stats, obs::MetricsRegistry& registry,
-                 std::string_view prefix) {
-  auto name = [&](const char* field) {
-    std::string s(prefix);
-    s += '.';
-    s += field;
-    return s;
-  };
-  registry.counter(name("lookups")).add(stats.lookups);
-  registry.counter(name("hits")).add(stats.hits());
-  registry.counter(name("hits_memory")).add(stats.hits_memory);
-  registry.counter(name("hits_disk")).add(stats.hits_disk);
-  registry.counter(name("misses")).add(stats.misses);
-  registry.counter(name("inserts")).add(stats.inserts);
-  registry.counter(name("reinserts")).add(stats.reinserts);
-  registry.counter(name("readonly_skips")).add(stats.readonly_skips);
-  registry.counter(name("insert_failures")).add(stats.insert_failures);
-  registry.counter(name("corrupt_rejected")).add(stats.corrupt_rejected);
-  registry.gauge(name("hit_rate")).set(stats.hitRate());
-}
-
 ResultStore::ResultStore(Config config) : config_(std::move(config)) {}
 
 StoreKey ResultStore::keyFor(const std::string& case_description) const {

@@ -52,7 +52,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "obs/metrics_registry.h"
 #include "store/mission_serde.h"
 
 namespace roborun::store {
@@ -83,6 +82,8 @@ struct StoreKey {
   std::string hex() const;
 };
 
+/// Store traffic counters, read directly by fleet reports and benches (a
+/// plain struct is the whole stats API).
 struct StoreStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits_memory = 0;    ///< served from the LRU front
@@ -101,13 +102,6 @@ struct StoreStats {
   /// this - since, field-wise (for per-run deltas of a long-lived store).
   StoreStats minus(const StoreStats& since) const;
 };
-
-/// Adapter into the observability spine: publish these counters into a
-/// MetricsRegistry under `<prefix>.<field>` (plus the derived hits/hit_rate
-/// as counter/gauge) — the store half of the one snapshot/delta API fleet
-/// reports consume. See obs/metrics_registry.h.
-void exportStats(const StoreStats& stats, obs::MetricsRegistry& registry,
-                 std::string_view prefix = "store");
 
 class ResultStore {
  public:

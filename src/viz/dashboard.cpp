@@ -8,7 +8,7 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/metrics_registry.h"
+#include "geom/stats.h"
 #include "viz/svg_plot.h"
 
 namespace roborun::viz {
@@ -321,22 +321,25 @@ void addTimeline(Compositor& c, const DashboardTrace& trace,
 
 void addStageLatency(Compositor& c, const DashboardTrace& trace) {
   if (trace.spans.empty()) return;
-  // One histogram per stage, durations in ms — the same fixed log-bucket
-  // ladder the metrics registry reports, so the dashboard's quantiles
-  // quantize exactly like `fleet_runner --bench-json`'s.
-  std::map<Stage, obs::Histogram> hists;
+  // Each stage's span durations in ms, summarized by geom::percentile —
+  // exact quantiles, the same ones `fleet_runner --bench-json` reports.
+  std::map<Stage, std::vector<double>> durations;
   for (const SpanRecord& s : trace.spans)
-    hists[s.stage].record(static_cast<double>(s.end_ns - s.start_ns) / 1e6);
+    durations[s.stage].push_back(static_cast<double>(s.end_ns - s.start_ns) / 1e6);
 
+  struct Quantiles {
+    double p50, p95, p99;
+    std::size_t count;
+  };
   double lo = 1e9, hi = 1e-9;
-  std::map<Stage, obs::HistogramSummary> summaries;
-  for (auto& [stage, h] : hists) {
-    obs::HistogramSummary sum = h.summary();
-    lo = std::min(lo, std::max(1e-5, sum.p50));
-    hi = std::max(hi, std::max(1e-5, sum.p99));
-    summaries.emplace(stage, std::move(sum));
+  std::map<Stage, Quantiles> summaries;
+  for (const auto& [stage, ms] : durations) {
+    const Quantiles q{geom::percentile(ms, 0.50), geom::percentile(ms, 0.95),
+                      geom::percentile(ms, 0.99), ms.size()};
+    lo = std::min(lo, std::max(1e-5, q.p50));
+    hi = std::max(hi, std::max(1e-5, q.p99));
+    summaries.emplace(stage, q);
   }
-  if (summaries.empty()) return;
   if (hi <= lo) hi = lo * 10.0;
 
   const double pad = 24.0;

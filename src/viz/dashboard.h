@@ -6,8 +6,8 @@
 // headline speedups), trend bar charts from the bench sections, per-trace
 // stage timeline lanes (the async integrate/plan overlap is visible as
 // overlapping rects on different lanes), per-stage latency summaries
-// (p50/p95/p99 through obs::Histogram — the same quantization the metrics
-// registry reports), and a decision-path wall per epoch line chart.
+// (exact p50/p95/p99 through geom::percentile, as fleet reports compute
+// them), and a decision-path wall per epoch line chart.
 //
 // Panels that have no input are skipped, not faked: a dashboard can be
 // rendered from the bench record alone (CI's dash smoke), from traces

@@ -1,11 +1,9 @@
 // Observability spine unit suite: span recorder semantics, Chrome trace
-// round-trip, the minijson reader, histogram bucket exactness, and the
-// metrics registry's snapshot/delta algebra — plus one real async mission
-// traced end to end (the *Async* cases also run under the TSan lane, which
+// round-trip and the minijson reader — plus one real async mission traced
+// end to end (the *Async* cases also run under the TSan lane, which
 // is what pins "recording from the worker lane is race-free").
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,7 +11,6 @@
 
 #include "env/env_gen.h"
 #include "obs/json.h"
-#include "obs/metrics_registry.h"
 #include "obs/minijson.h"
 #include "obs/span_recorder.h"
 #include "runtime/designs.h"
@@ -167,79 +164,6 @@ TEST(MiniJsonTest, MalformedDocumentsFailCleanly) {
     EXPECT_FALSE(parseJson(bad, doc, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
-}
-
-// --- histogram -------------------------------------------------------------
-
-TEST(HistogramTest, BucketLadderIsLowerInclusiveAndExact) {
-  // Values exactly on a bucket's upper edge belong to the NEXT bucket
-  // (lower-inclusive), and every recorded value quantizes to an upper
-  // edge no more than one bucket ratio (10^(1/8) ≈ 1.334x) above it.
-  EXPECT_EQ(Histogram::bucketIndex(0.0), 0);            // underflow
-  EXPECT_EQ(Histogram::bucketIndex(Histogram::kLo), 1); // first ladder bucket
-  EXPECT_EQ(Histogram::bucketIndex(1e30), Histogram::kBuckets - 1);  // overflow
-
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);  // empty
-  const double values[] = {0.5, 1.0, 2.0, 4.0, 8.0};
-  for (double v : values) h.record(v);
-  const HistogramSummary sum = h.summary();
-  EXPECT_EQ(sum.count, 5u);
-  EXPECT_DOUBLE_EQ(sum.sum, 15.5);  // sum/min/max are exact, not bucketed
-  EXPECT_DOUBLE_EQ(sum.min, 0.5);
-  EXPECT_DOUBLE_EQ(sum.max, 8.0);
-  constexpr double kBucketRatio = 1.33352143216332;  // 10^(1/8)
-  // Nearest-rank p50 of 5 values is the 3rd (2.0), quantized upward.
-  EXPECT_GE(sum.p50, 2.0);
-  EXPECT_LE(sum.p50, 2.0 * kBucketRatio);
-  EXPECT_GE(sum.p99, 8.0);
-  EXPECT_LE(sum.p99, 8.0 * kBucketRatio);
-}
-
-TEST(HistogramTest, SummaryOfEmptyHistogramIsZeroed) {
-  const HistogramSummary sum = Histogram().summary();
-  EXPECT_EQ(sum.count, 0u);
-  EXPECT_DOUBLE_EQ(sum.sum, 0.0);
-  EXPECT_DOUBLE_EQ(sum.min, 0.0);
-  EXPECT_DOUBLE_EQ(sum.max, 0.0);
-  EXPECT_DOUBLE_EQ(sum.p50, 0.0);
-  EXPECT_DOUBLE_EQ(sum.mean(), 0.0);
-}
-
-// --- registry snapshot / delta --------------------------------------------
-
-TEST(MetricsRegistryTest, SnapshotDeltaAlgebra) {
-  MetricsRegistry registry;
-  registry.counter("requests").add(10);
-  registry.gauge("level").set(1.0);
-  registry.histogram("latency").record(1.0);
-  const MetricsSnapshot before = registry.snapshot();
-
-  registry.counter("requests").add(5);
-  registry.counter("fresh").add(3);  // born after the first snapshot
-  registry.gauge("level").set(7.5);
-  registry.histogram("latency").record(100.0);
-  registry.histogram("latency").record(100.0);
-  const MetricsSnapshot after = registry.snapshot();
-
-  const MetricsSnapshot delta = after.delta(before);
-  EXPECT_EQ(delta.counterOr("requests", 0), 5u);
-  EXPECT_EQ(delta.counterOr("fresh", 0), 3u);  // absent earlier = zero
-  EXPECT_EQ(delta.counterOr("missing", 99), 99u);
-  EXPECT_DOUBLE_EQ(delta.gaugeOr("level", 0.0), 7.5);  // level, not flow
-
-  // The delta window saw only the two 100.0 samples: its p50 recomputes
-  // from the subtracted buckets, nowhere near the old 1.0 sample.
-  const auto it = delta.histograms.find("latency");
-  ASSERT_NE(it, delta.histograms.end());
-  EXPECT_EQ(it->second.count, 2u);
-  EXPECT_GE(it->second.p50, 100.0);
-  EXPECT_LE(it->second.p50, 134.0);
-
-  // Deltaing backwards clamps at zero instead of underflowing.
-  const MetricsSnapshot reverse = before.delta(after);
-  EXPECT_EQ(reverse.counterOr("requests", 7), 0u);
-  EXPECT_EQ(reverse.histograms.at("latency").count, 0u);
 }
 
 // --- traced async mission (TSan-covered via the *Async* filter) ------------

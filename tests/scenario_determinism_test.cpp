@@ -11,17 +11,23 @@
 //    engine on or off, and the evaluation grid's cases must fly exactly
 //    what a direct runMission flies — the contract fleet_runner's
 //    byte-identical --out JSON rests on.
+//
+// The fleet cases also check that the --bench-json document prints the
+// FleetResult's own engine, store, staleness and wall numbers.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <locale>
 #include <sstream>
 
 #include "env/env_gen.h"
 #include "env/suite.h"
+#include "geom/stats.h"
 #include "obs/json.h"
+#include "obs/minijson.h"
 #include "runtime/designs.h"
 #include "scenario/catalog.h"
 #include "scenario/catalog_file.h"
@@ -47,15 +53,26 @@ std::vector<scenario::ScenarioSpec> tinyCatalog() {
   return {tinySpec("corridor_gradient", 11), tinySpec("swarm_crossing", 23)};
 }
 
+/// Flies the tiny catalog; with `staleness`, every epoch's staleness is
+/// recorded into it (a measurement: results are identical either way).
 scenario::FleetResult runFleet(unsigned threads, scenario::DispatchMode mode,
-                               bool share_engine = true) {
+                               bool share_engine = true,
+                               scenario::EpochStaleness* staleness = nullptr) {
+  runtime::MissionConfig base = runtime::smokeMissionConfig();
+  if (staleness != nullptr) scenario::observeEpochStaleness(base, *staleness);
   scenario::FleetConfig config;
   config.threads = threads;
   config.mode = mode;
   config.share_engine = share_engine;
-  scenario::FleetScheduler scheduler(runtime::smokeMissionConfig(), config);
+  scenario::FleetScheduler scheduler(base, config);
   EXPECT_EQ(scheduler.admitAll(tinyCatalog()), 2u);
   return scheduler.run();
+}
+
+std::string fleetJson(const scenario::FleetResult& result) {
+  std::ostringstream os;
+  scenario::writeFleetJson(os, result, "catalog");
+  return os.str();
 }
 
 // --- catalog registry -------------------------------------------------------
@@ -283,28 +300,139 @@ std::uint64_t solves(const scenario::FleetResult& r) {
   return r.engine.solver_memo_hits + r.engine.solver_memo_misses;
 }
 
+/// Shard aggregates add up to the rows they summarize.
+void expectShardsConsistentWithRows(const scenario::FleetResult& result) {
+  ASSERT_EQ(result.shards.size(), 2u);
+  std::size_t missions = 0, decisions = 0;
+  for (const scenario::ShardAggregate& s : result.shards) {
+    missions += s.missions;
+    decisions += s.decisions;
+  }
+  EXPECT_EQ(missions, result.rows.size());
+  std::size_t row_decisions = 0;
+  for (const scenario::FleetRow& row : result.rows)
+    row_decisions += row.result.decisions();
+  EXPECT_EQ(decisions, row_decisions);
+}
+
+/// `v` as the bench document prints it, read back.
+double printed(double v, int decimals) {
+  return std::strtod(obs::jsonNumber(v, decimals).c_str(), nullptr);
+}
+
+/// The bench document reports the FleetResult's own fields and the
+/// staleness tally, and each stage's p50 is the exact median of the rows'
+/// walls. Assumes a fleet flown without a store or retries, so every
+/// observed epoch is a counted decision.
+void expectBenchJsonMatchesStructs(const scenario::FleetResult& result,
+                                   const scenario::EpochStaleness& staleness) {
+  std::ostringstream os;
+  scenario::writeFleetBenchJson(os, result, "catalog", staleness);
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::parseJson(os.str(), doc, &error)) << error;
+
+  EXPECT_EQ(doc.numberAt("wall_s", -1), printed(result.wall_s, 6));
+  EXPECT_EQ(doc.numberAt("missions_per_sec", -1), printed(result.missions_per_sec, 3));
+
+  const obs::JsonValue* engine = doc.find("engine");
+  ASSERT_NE(engine, nullptr);
+  const core::EngineStats& e = result.engine;
+  ASSERT_NE(engine->find("shared"), nullptr);
+  EXPECT_EQ(engine->find("shared")->boolean, result.engine_shared);
+  EXPECT_EQ(engine->numberAt("decisions", -1), e.decisions);
+  EXPECT_EQ(engine->numberAt("solver_memo_hits", -1), e.solver_memo_hits);
+  EXPECT_EQ(engine->numberAt("solver_memo_misses", -1), e.solver_memo_misses);
+  EXPECT_EQ(engine->numberAt("solver_memo_hit_rate", -1), printed(e.solverMemoHitRate(), 4));
+  EXPECT_EQ(engine->numberAt("profile_builds", -1), e.profile_builds);
+
+  const obs::JsonValue* store = doc.find("store");
+  ASSERT_NE(store, nullptr);
+  const store::StoreStats& s = result.store;
+  ASSERT_NE(store->find("enabled"), nullptr);
+  EXPECT_EQ(store->find("enabled")->boolean, result.store_enabled);
+  EXPECT_EQ(store->numberAt("lookups", -1), s.lookups);
+  EXPECT_EQ(store->numberAt("hits", -1), s.hits());
+  EXPECT_EQ(store->numberAt("hits_memory", -1), s.hits_memory);
+  EXPECT_EQ(store->numberAt("hits_disk", -1), s.hits_disk);
+  EXPECT_EQ(store->numberAt("misses", -1), s.misses);
+  EXPECT_EQ(store->numberAt("hit_rate", -1), printed(s.hitRate(), 4));
+  EXPECT_EQ(store->numberAt("inserts", -1), s.inserts);
+  EXPECT_EQ(store->numberAt("readonly_skips", -1), s.readonly_skips);
+  EXPECT_EQ(store->numberAt("corrupt_rejected", -1), s.corrupt_rejected);
+
+  const obs::JsonValue* timing = doc.find("timing");
+  ASSERT_NE(timing, nullptr);
+  std::size_t decisions = 0;
+  for (const scenario::FleetRow& row : result.rows) decisions += row.result.decisions();
+  EXPECT_EQ(timing->numberAt("total_decisions", -1), decisions);
+  const obs::JsonValue* age = timing->find("epoch_staleness");
+  ASSERT_NE(age, nullptr);
+  EXPECT_EQ(age->numberAt("fresh", -1) + age->numberAt("stale_one", -1) +
+                age->numberAt("stale_over", -1),
+            age->numberAt("epochs", -1));
+  EXPECT_EQ(age->numberAt("epochs", -1), decisions);
+  EXPECT_EQ(age->numberAt("stale_over", -1), 0.0);
+  EXPECT_EQ(age->numberAt("fresh", -1), staleness.fresh());
+
+  const obs::JsonValue* stages = timing->find("stages");
+  ASSERT_NE(stages, nullptr);
+  std::vector<double> mission_wall, plan_wall, decision_wall;
+  for (const scenario::FleetRow& row : result.rows) {
+    mission_wall.push_back(row.wall_ms);
+    plan_wall.push_back(row.result.planner_wall_ms);
+    decision_wall.push_back(row.result.decision_wall_ms);
+  }
+  const struct {
+    const char* name;
+    const std::vector<double>& walls;
+    int decimals;
+  } expected[] = {{"mission_wall_ms", mission_wall, 3},
+                  {"plan_wall_ms", plan_wall, 3},
+                  {"decision_wall_ms", decision_wall, 4}};
+  for (const auto& stage : expected) {
+    const obs::JsonValue* block = stages->find(stage.name);
+    ASSERT_NE(block, nullptr) << stage.name;
+    EXPECT_EQ(block->numberAt("count", -1), result.rows.size()) << stage.name;
+    EXPECT_EQ(block->numberAt("p50", -1),
+              printed(geom::percentile(stage.walls, 0.5), stage.decimals))
+        << stage.name;
+  }
+}
+
 TEST(FleetSchedulerTest, ResultsIndependentOfThreadCount) {
   const scenario::FleetResult serial = runFleet(1, scenario::DispatchMode::Async);
   ASSERT_EQ(serial.rows.size(), 4u);
   ASSERT_GT(serial.rows[0].result.decisions(), 0u);
   EXPECT_GT(serial.engine.profile_builds, 0u);
+  const std::string serial_json = fleetJson(serial);
   for (const unsigned threads : {4u, 16u}) {
     const scenario::FleetResult parallel = runFleet(threads, scenario::DispatchMode::Async);
     EXPECT_TRUE(scenario::fleetResultsIdentical(serial, parallel))
         << threads << " threads diverged from serial";
+    // The deterministic report is byte-stable across thread counts.
+    EXPECT_EQ(fleetJson(parallel), serial_json) << threads;
     // The shared engine's profile count is a pure function of the missions
     // flown, so it is independent of thread count.
     EXPECT_EQ(parallel.engine.profile_builds, serial.engine.profile_builds) << threads;
     EXPECT_EQ(solves(parallel), solves(serial)) << threads;
+    expectShardsConsistentWithRows(parallel);
   }
 }
 
 TEST(FleetSchedulerTest, SyncAndAsyncDispatchAgree) {
   const scenario::FleetResult async = runFleet(4, scenario::DispatchMode::Async);
-  const scenario::FleetResult sync = runFleet(4, scenario::DispatchMode::Sync);
+  // The sync fleet also records epoch staleness; its four workers call the
+  // observer concurrently.
+  scenario::EpochStaleness staleness;
+  const scenario::FleetResult sync =
+      runFleet(4, scenario::DispatchMode::Sync, true, &staleness);
   EXPECT_TRUE(scenario::fleetResultsIdentical(async, sync));
+  // ...and byte-stable across dispatch modes.
+  EXPECT_EQ(fleetJson(async), fleetJson(sync));
   EXPECT_EQ(sync.engine.profile_builds, async.engine.profile_builds);
   EXPECT_EQ(solves(sync), solves(async));
+  expectBenchJsonMatchesStructs(sync, staleness);
 }
 
 TEST(FleetSchedulerTest, PooledInfrastructureDoesNotChangeResults) {
@@ -400,30 +528,6 @@ TEST(FleetReportTest, EscapesUserControlledStrings) {
   EXPECT_EQ(doc.find('\t'), std::string::npos);
   EXPECT_EQ(obs::jsonEscape("plain"), "plain");
   EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(FleetSchedulerTest, ShardAggregatesAreConsistentWithRows) {
-  const scenario::FleetResult result = runFleet(2, scenario::DispatchMode::Async);
-  ASSERT_EQ(result.shards.size(), 2u);
-  std::size_t missions = 0, decisions = 0;
-  for (const scenario::ShardAggregate& s : result.shards) {
-    missions += s.missions;
-    decisions += s.decisions;
-  }
-  EXPECT_EQ(missions, result.rows.size());
-  std::size_t row_decisions = 0;
-  for (const scenario::FleetRow& row : result.rows)
-    row_decisions += row.result.decisions();
-  EXPECT_EQ(decisions, row_decisions);
-}
-
-TEST(FleetSchedulerTest, DeterministicReportIsByteStable) {
-  const scenario::FleetResult a = runFleet(1, scenario::DispatchMode::Async);
-  const scenario::FleetResult b = runFleet(4, scenario::DispatchMode::Sync);
-  std::ostringstream ja, jb;
-  scenario::writeFleetJson(ja, a, "catalog");
-  scenario::writeFleetJson(jb, b, "catalog");
-  EXPECT_EQ(ja.str(), jb.str());
 }
 
 }  // namespace

@@ -318,8 +318,8 @@ int main(int argc, char** argv) {
                                                               : runtime::testMissionConfig());
   base.pipeline.execution = opts.pipeline;
   // Every case copies the base config, so each tenant mission reports its
-  // epochs' staleness into this one registry (--bench-json's timing block).
-  obs::MetricsRegistry epochs;
+  // epochs' staleness into this one tally (--bench-json's timing block).
+  scenario::EpochStaleness epochs;
   scenario::observeEpochStaleness(base, epochs);
 
   scenario::FleetConfig fleet_config;
@@ -380,32 +380,27 @@ int main(int argc, char** argv) {
     std::size_t reached = 0;
     for (const scenario::FleetRow& row : result.rows)
       reached += row.result.reached_goal() ? 1 : 0;
-    // The summary reads from the same adapted metrics snapshot
-    // --bench-json serializes (scenario::fleetMetricsSnapshot) — the two
-    // surfaces report the same numbers by construction.
-    const obs::MetricsSnapshot metrics = scenario::fleetMetricsSnapshot(result);
+    // The summary reads the same FleetResult fields --bench-json
+    // serializes, so the two surfaces report the same numbers.
     std::ostringstream line;
     line.setf(std::ios::fixed);
     line.precision(2);
-    line << "fleet_runner: " << result.rows.size() << " missions in "
-         << metrics.gaugeOr("fleet.wall_s", 0.0) << " s ("
-         << metrics.gaugeOr("fleet.missions_per_sec", 0.0) << " missions/s), "
-         << reached << " reached goal";
+    line << "fleet_runner: " << result.rows.size() << " missions in " << result.wall_s
+         << " s (" << result.missions_per_sec << " missions/s), " << reached
+         << " reached goal";
     if (failures > 0) line << ", " << failures << " quarantined";
     if (result.engine_shared) {
       line.precision(1);
-      line << "; engine memo hit-rate "
-           << 100.0 * metrics.gaugeOr("engine.solver_memo_hit_rate", 0.0)
+      line << "; engine memo hit-rate " << 100.0 * result.engine.solverMemoHitRate()
            << "% across tenants";
     }
     if (result.store_enabled) {
+      const store::StoreStats& s = result.store;
       line.precision(1);
-      line << "; result store " << metrics.counterOr("store.hits", 0) << " hit(s) / "
-           << metrics.counterOr("store.misses", 0) << " miss(es) ("
-           << 100.0 * metrics.gaugeOr("store.hit_rate", 0.0) << "%), "
-           << metrics.counterOr("store.inserts", 0) << " inserted";
-      const std::uint64_t corrupt = metrics.counterOr("store.corrupt_rejected", 0);
-      if (corrupt > 0) line << ", " << corrupt << " corrupt record(s) rejected";
+      line << "; result store " << s.hits() << " hit(s) / " << s.misses << " miss(es) ("
+           << 100.0 * s.hitRate() << "%), " << s.inserts << " inserted";
+      if (s.corrupt_rejected > 0)
+        line << ", " << s.corrupt_rejected << " corrupt record(s) rejected";
     }
     std::cerr << line.str() << "\n";
     for (const scenario::FleetRow& row : result.rows) {
@@ -436,7 +431,7 @@ int main(int argc, char** argv) {
       std::cerr << "fleet_runner: cannot open " << opts.bench_json_path << "\n";
       return 1;
     }
-    scenario::writeFleetBenchJson(bench, result, catalog_label, epochs.snapshot());
+    scenario::writeFleetBenchJson(bench, result, catalog_label, epochs);
     if (!opts.quiet) std::cerr << "fleet_runner: wrote " << opts.bench_json_path << "\n";
   }
   if (recorder) {
