@@ -13,7 +13,7 @@
 //                       then updateCells (adds the shared-prefix win)
 //   pooled_ray_walk     the shipped kernel path: one fused updateRay walk
 //                       per ray (no staged keys; same-cell and same-state
-//                       samples cost a box test)
+//                       samples cost one cell-coordinate compare)
 //
 // plus a coarsened-collection pass (the bridge's collectOccupied) over the
 // resulting maps. All four trees must answer identically — the bench exits

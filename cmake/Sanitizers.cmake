@@ -1,12 +1,13 @@
 # Opt-in sanitizer instrumentation for the whole tree:
 #   cmake -B build -S . -DROBORUN_SANITIZE=address;undefined
+#   cmake -B build -S . -DROBORUN_SANITIZE=address;undefined;float-cast-overflow
 #   cmake -B build -S . -DROBORUN_SANITIZE=thread
 #
 # Applied globally (not per-target) so roborun_core and every test/bench
 # link with matching instrumentation.
 
 set(ROBORUN_SANITIZE "" CACHE STRING
-  "Semicolon-separated sanitizers to enable (address, undefined, thread, leak)")
+  "Semicolon-separated sanitizers to enable (address, undefined, float-cast-overflow, thread, leak)")
 
 if(ROBORUN_SANITIZE)
   if(MSVC)

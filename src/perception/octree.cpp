@@ -14,6 +14,33 @@ namespace {
 /// Deepest key level supported by 3-bits-per-level packing in 64 bits.
 constexpr int kMaxKeyDepth = 21;
 
+/// cellCoords()' guard band, in cells: its floor, and the width above which
+/// every point takes the ladder (see the derivation in octree.h).
+constexpr double kMinGuard = 1e-6;
+constexpr double kMaxGuard = 0.25;
+
+/// Bit i of v (i < 21) moved to bit 3i: one coordinate's share of a path
+/// key, whose depth-d group holds bit (depth - 1 - d) of x, y and z.
+std::uint64_t spreadBits3(std::uint32_t v) {
+  std::uint64_t x = v & 0x1FFFFFu;
+  x = (x | (x << 32)) & 0x001F00000000FFFFull;
+  x = (x | (x << 16)) & 0x001F0000FF0000FFull;
+  x = (x | (x << 8)) & 0x100F00F00F00F00Full;
+  x = (x | (x << 4)) & 0x10C30C30C30C30C3ull;
+  x = (x | (x << 2)) & 0x1249249249249249ull;
+  return x;
+}
+
+/// Sets i = floor(f) and says whether f lies in [0, cells) with its
+/// fraction in [guard, 1 - guard]. Truncation is floor there; anything
+/// else (negative, too large, NaN) is cast as 0 and leaves a "fraction"
+/// of f itself, which fails the band test.
+inline bool gridCoord(double f, double cells, double guard, std::uint32_t& i) {
+  i = static_cast<std::uint32_t>((f >= 0.0) & (f < cells) ? f : 0.0);
+  const double r = f - i;  // exact
+  return (r >= guard) & (r <= 1.0 - guard);
+}
+
 }  // namespace
 
 OccupancyOctree::OccupancyOctree(const Aabb& extent, double voxel_min) : voxel_min_(voxel_min) {
@@ -33,8 +60,15 @@ OccupancyOctree::OccupancyOctree(const Aabb& extent, double voxel_min) : voxel_m
   root_box_ = {c - h, c + h};
   for (int level = 0; level <= max_depth_; ++level)
     level_size_.push_back(voxel_min_ * std::pow(2.0, level));
-  for (double q = root_size_ * 0.25; static_cast<int>(ladder_q_.size()) < max_depth_; q *= 0.5)
-    ladder_q_.push_back(q);
+  inv_root_ = 1.0 / root_size_;
+  // The fast path's guard band, in root-size units (see cellCoords() in the
+  // header for the derivation): 4 (maxDepth + 4) eps 2 M / root_size, M the
+  // largest root coordinate magnitude.
+  const double m = std::max({std::abs(root_box_.lo.x), std::abs(root_box_.lo.y),
+                             std::abs(root_box_.lo.z), std::abs(root_box_.hi.x),
+                             std::abs(root_box_.hi.y), std::abs(root_box_.hi.z)});
+  guard_root_ = 4.0 * (max_depth_ + 4) * std::numeric_limits<double>::epsilon() * 2.0 * m *
+                inv_root_;
   pool_.push_back(Node{});  // the root leaf
   subtree_stats_.push_back(SubtreeStats{});
   subtree_valid_.push_back(0);
@@ -62,38 +96,53 @@ double OccupancyOctree::snapPrecision(double precision) const {
   return cell;
 }
 
-std::uint64_t OccupancyOctree::cellKey(const Vec3& p, int level) const {
-  // Pure arithmetic (no tree access): the same center-comparison ladder the
-  // pointer descent used, so keyed and point updates bin identically even
-  // for points sitting exactly on cell boundaries. Stops at the target
-  // level — coarse cells need proportionally less ladder.
+OccupancyOctree::CellCoords OccupancyOctree::ladderCoords(const Vec3& p, int depth) const {
+  // Pure arithmetic (no tree access): the center-comparison ladder of the
+  // seed's pointer descent, so keyed and point updates bin identically even
+  // for points sitting exactly on cell boundaries.
   //
   // Written branchlessly: the child choice per level is data-random, so a
   // conditional-move formulation beats a 50%-mispredicted branch ladder by
   // ~3x. copysign(q, p - c) walks the center exactly like the ?: form —
   // q is a power of two, the add is exact either way, and the p == c tie
   // produces +0.0, matching the `>=` convention of childIndexFor.
-  const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
   const Vec3 c0 = root_box_.center();
   double cx = c0.x, cy = c0.y, cz = c0.z;
   double q = root_size_ * 0.25;  // first-level child-center offset
-  std::uint64_t key = 0;
+  CellCoords cell;
   for (int d = 0; d < depth; ++d) {
     // +0.0 normalizes a -0.0 difference to +0.0 so copysign agrees with the
     // `>=` tie-break (p == center descends into the upper child).
     const double dx = (p.x - cx) + 0.0;
     const double dy = (p.y - cy) + 0.0;
     const double dz = (p.z - cz) + 0.0;
-    const std::uint64_t ci = static_cast<std::uint64_t>(dx >= 0.0) |
-                             (static_cast<std::uint64_t>(dy >= 0.0) << 1) |
-                             (static_cast<std::uint64_t>(dz >= 0.0) << 2);
-    key = (key << 3) | ci;
+    cell.x = (cell.x << 1) | static_cast<std::uint32_t>(dx >= 0.0);
+    cell.y = (cell.y << 1) | static_cast<std::uint32_t>(dy >= 0.0);
+    cell.z = (cell.z << 1) | static_cast<std::uint32_t>(dz >= 0.0);
     cx += std::copysign(q, dx);
     cy += std::copysign(q, dy);
     cz += std::copysign(q, dz);
     q *= 0.5;
   }
-  return key;
+  return cell;
+}
+
+inline OccupancyOctree::CellCoords OccupancyOctree::cellCoords(const Vec3& p, int depth) const {
+  const double cells = static_cast<double>(std::uint32_t{1} << depth);  // 2^depth, exact
+  const double guard = std::max(kMinGuard, guard_root_ * cells);
+  const double inv = inv_root_ * cells;
+  CellCoords cell;
+  if (guard <= kMaxGuard && gridCoord((p.x - root_box_.lo.x) * inv, cells, guard, cell.x) &
+                                gridCoord((p.y - root_box_.lo.y) * inv, cells, guard, cell.y) &
+                                gridCoord((p.z - root_box_.lo.z) * inv, cells, guard, cell.z))
+      [[likely]]
+    return cell;
+  return ladderCoords(p, depth);
+}
+
+std::uint64_t OccupancyOctree::cellKey(const Vec3& p, int level) const {
+  const CellCoords cell = cellCoords(p, std::max(0, max_depth_ - std::clamp(level, 0, max_depth_)));
+  return spreadBits3(cell.x) | (spreadBits3(cell.y) << 1) | (spreadBits3(cell.z) << 2);
 }
 
 Vec3 OccupancyOctree::cellCenter(std::uint64_t key, int level) const {
@@ -205,44 +254,36 @@ struct OccupancyOctree::KeyCursor {
   int child(int d) const { return static_cast<int>((key >> (3 * (depth - 1 - d))) & 7u); }
 };
 
-/// Targets from a ray march, keyed without building keys. Per depth d the
-/// cursor keeps the center cellKey() compares against at d and the box of
-/// points whose comparisons at depths < d match the current path: each box
-/// edge is the running max (compared >=) or min (compared <) of the centers
-/// above it, so "inside box d" is exactly "same first d key groups" — in
-/// floating point too, since the centers come from cellKey()'s own
-/// arithmetic rather than from cell geometry.
+/// Targets from a ray march, keyed without building keys: each sample's
+/// target cell as cellCoords() coordinates, whose bit (depth - 1 - d) per
+/// axis is the sample's child index at depth d. Two samples share their
+/// depth-d ancestor exactly when their coordinates agree above bit
+/// depth - 1 - d.
 struct OccupancyOctree::RayCursor {
-  struct Rung {
-    double cx, cy, cz;  ///< the center compared at this depth
-    double lx, ly, lz;  ///< box low edges (inclusive)
-    double hx, hy, hz;  ///< box high edges (exclusive)
-  };
-  std::array<Rung, kMaxKeyDepth + 1> rung;  // filled lazily, depth by depth
-  const double* q;                          ///< cellKey()'s per-depth offset
+  const OccupancyOctree& tree;
+  int depth;
   Aabb root;
   Vec3 origin, dir;
   double step, length, t;
   SampleWindow window;
   std::size_t k = 0;  ///< sample index of t
-  Vec3 p;             ///< the current sample
+  CellCoords cell;    ///< the current sample's cell
+  CellCoords prev;    ///< the previous sample's cell
 
-  RayCursor(const OccupancyOctree& tree, const Vec3& o, const Vec3& d, double s, double len,
-            SampleWindow w)
-      : q(tree.ladder_q_.data()), root(tree.root_box_), origin(o), dir(d), step(s), length(len),
-        t(s * 0.5), window(w) {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const Vec3 c = root.center();
-    rung[0] = {c.x, c.y, c.z, -kInf, -kInf, -kInf, kInf, kInf, kInf};
-  }
+  RayCursor(const OccupancyOctree& tr, int target_depth, const Vec3& o, const Vec3& d, double s,
+            double len, SampleWindow w)
+      : tree(tr), depth(target_depth), root(tr.root_box_), origin(o), dir(d), step(s),
+        length(len), t(s * 0.5), window(w) {}
 
   /// Step to the next in-window sample inside the root box. Samples before
   /// the window still advance t, so every sample keeps its full-march t.
   bool next() {
     for (; t < length && k <= window.last; t += step, ++k) {
       if (k < window.first) continue;
-      p = origin + dir * t;
+      const Vec3 p = origin + dir * t;
       if (root.contains(p)) {
+        prev = cell;
+        cell = tree.cellCoords(p, depth);
         t += step;
         ++k;
         return true;
@@ -252,32 +293,19 @@ struct OccupancyOctree::RayCursor {
   }
   /// Sample index of the current sample.
   std::size_t sample() const { return k - 1; }
-  /// Climb from the tip to the deepest box that holds the sample.
+  /// Deepest level <= tip whose cell holds both this sample and the
+  /// previous one. The path up to tip was descended for the previous sample
+  /// or for one sharing its first tip levels, so this is also the deepest
+  /// path node whose cell holds this sample.
   int restart(int tip) const {
-    for (;; --tip) {
-      const Rung& r = rung[static_cast<std::size_t>(tip)];
-      // Non-short-circuit: six compares beat six data-dependent branches.
-      if (tip == 0 || ((p.x >= r.lx) & (p.x < r.hx) & (p.y >= r.ly) & (p.y < r.hy) &
-                       (p.z >= r.lz) & (p.z < r.hz)))
-        return tip;
-    }
+    const std::uint32_t diff = (cell.x ^ prev.x) | (cell.y ^ prev.y) | (cell.z ^ prev.z);
+    return std::min(tip, depth - static_cast<int>(std::bit_width(diff)));
   }
-  /// One rung of cellKey()'s ladder at depth d; fills depth d + 1.
-  int child(int d) {
-    const Rung& r = rung[static_cast<std::size_t>(d)];
-    // +0.0 and copysign exactly as in cellKey().
-    const double dx = (p.x - r.cx) + 0.0;
-    const double dy = (p.y - r.cy) + 0.0;
-    const double dz = (p.z - r.cz) + 0.0;
-    const double qd = q[d];
-    const bool bx = dx >= 0.0, by = dy >= 0.0, bz = dz >= 0.0;
-    rung[static_cast<std::size_t>(d) + 1] = {
-        r.cx + std::copysign(qd, dx),       r.cy + std::copysign(qd, dy),
-        r.cz + std::copysign(qd, dz),       bx ? std::max(r.lx, r.cx) : r.lx,
-        by ? std::max(r.ly, r.cy) : r.ly,   bz ? std::max(r.lz, r.cz) : r.lz,
-        bx ? r.hx : std::min(r.hx, r.cx),   by ? r.hy : std::min(r.hy, r.cy),
-        bz ? r.hz : std::min(r.hz, r.cz)};
-    return (bx ? 1 : 0) | (by ? 2 : 0) | (bz ? 4 : 0);
+  /// Child index of this sample's cell at depth d.
+  int child(int d) const {
+    const int s = depth - 1 - d;
+    return static_cast<int>(((cell.x >> s) & 1u) | (((cell.y >> s) & 1u) << 1) |
+                            (((cell.z >> s) & 1u) << 2));
   }
 };
 
@@ -386,7 +414,7 @@ void OccupancyOctree::updateRay(const Vec3& origin, const Vec3& dir, double step
   if (state == Occupancy::Unknown || !(step > 0.0) || window.empty()) return;
   const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
   stats_dirty_ = true;
-  RayCursor cursor(*this, origin, dir, step, length, window);
+  RayCursor cursor(*this, depth, origin, dir, step, length, window);
   walk(cursor, depth, state);
 }
 
@@ -397,7 +425,7 @@ SampleWindow OccupancyOctree::liveSpan(const Vec3& origin, const Vec3& dir, doub
   const int depth = std::max(0, max_depth_ - std::clamp(level, 0, max_depth_));
   // walk()'s descent without the writes: stop at a leaf or at the target
   // depth, and classify the node reached.
-  RayCursor cursor(*this, origin, dir, step, length, SampleWindow{});
+  RayCursor cursor(*this, depth, origin, dir, step, length, SampleWindow{});
   std::array<std::uint32_t, kMaxKeyDepth + 1> path;
   path[0] = kRootIndex;
   int tip = 0;

@@ -21,13 +21,16 @@
 // *path key* (the concatenated child indices of its root-to-cell descent,
 // see cellKey()), and updateCells() applies a whole same-level/same-state
 // batch in key order, reusing the shared tree prefix between consecutive
-// keys instead of re-descending from the root per cell. A ray march skips
-// the keys altogether: updateRay() walks the tree along the ray, re-running
-// cellKey()'s comparisons only below the deepest ancestor whose cell still
-// holds the next sample, through the same walk. liveSpan() is the read-only
-// twin of that walk: it names the sample window of a free-space march that
-// can still change the tree, so a sweep can classify its rays concurrently
-// and walk only those windows.
+// keys instead of re-descending from the root per cell. Cells are binned on
+// integer coordinates at the target level, floor((p - lo) / cell) per axis;
+// a point within a guard band of a grid plane is binned by the seed's
+// center-comparison ladder instead, so every bin is the ladder's. A ray
+// march skips the keys altogether: updateRay() walks the tree along the
+// ray, restarting each sample at the deepest ancestor it shares with the
+// previous one (the highest coordinate bit that differs), through the same
+// walk. liveSpan() is the read-only twin of that walk: it names the sample
+// window of a free-space march that can still change the tree, so a sweep
+// can classify its rays concurrently and walk only those windows.
 #pragma once
 
 #include <algorithm>
@@ -91,11 +94,12 @@ class OccupancyOctree {
   double snapPrecision(double precision) const;
 
   /// Path key of the level-`level` cell containing `p`: 3 bits per level,
-  /// most-significant group = the root's child index, walking only the
-  /// maxDepth()-level groups the cell needs. Derived from the same center
-  /// comparisons as the descent itself, so keyed updates bin points exactly
-  /// like point updates do. `p` must be inside rootBox(). Level 0 (the
-  /// default) names the finest voxel.
+  /// most-significant group = the root's child index, maxDepth() - level
+  /// groups in all. The groups interleave the cell's integer coordinates
+  /// (cellCoords()). Every key is the one the seed's center-comparison
+  /// descent gives (points near a cell face take that ladder itself), so
+  /// keyed updates bin points exactly like point updates do. `p` must be
+  /// inside rootBox(). Level 0 (the default) names the finest voxel.
   std::uint64_t cellKey(const Vec3& p, int level = 0) const;
   /// Center of the cell a cellKey(p, level) key names (inverse of cellKey).
   Vec3 cellCenter(std::uint64_t key, int level) const;
@@ -120,13 +124,14 @@ class OccupancyOctree {
   /// Fused ray march: exactly updateCells() over the cellKey(p, level) keys
   /// of the samples p = origin + dir * t, t = step/2, 3*step/2, ... while
   /// t < length, skipping samples outside rootBox(). The keys are never
-  /// built: the walk keeps cellKey()'s comparison ladder per depth, climbs
-  /// to the deepest ancestor cell that still holds the next sample, and
-  /// re-runs the comparisons only below it. A sample that stays in the
-  /// current cell (or in the same-state leaf the walk stopped at) costs one
-  /// box test. A `step` that is not positive marks nothing. Only samples
-  /// inside `window` are applied; the march still steps t from step/2, so a
-  /// windowed sample sits at exactly the t the full march gives it.
+  /// built: each sample gets cellKey()'s integer cell coordinates (the
+  /// ladder's, near a face), the walk restarts at depth - bit_width of the
+  /// coordinate xor with the previous sample, and each child index below it
+  /// is one bit per axis. A sample that stays in the current cell (or in
+  /// the same-state leaf the walk stopped at) costs no descent. A `step`
+  /// that is not positive marks nothing. Only samples inside `window` are
+  /// applied; the march still steps t from step/2, so a windowed sample
+  /// sits at exactly the t the full march gives it.
   void updateRay(const Vec3& origin, const Vec3& dir, double step, double length, int level,
                  Occupancy state, SampleWindow window = {});
 
@@ -139,6 +144,7 @@ class OccupancyOctree {
   /// So marching only these windows, classified against the tree as the
   /// sweep found it, ends in the same tree: the same stats(),
   /// collectOccupied() and liveNodeCount(); only poolSize() may be smaller.
+  /// Samples are binned and restarted exactly as updateRay() bins them.
   /// Empty when no sample can change anything. Read-only (no cache is
   /// touched), so concurrent calls on a tree nobody writes are safe.
   SampleWindow liveSpan(const Vec3& origin, const Vec3& dir, double step, double length,
@@ -247,6 +253,39 @@ class OccupancyOctree {
   /// Merge-or-refresh the aggregate state of the node at `index` after the
   /// walk leaves its child at `child_index` (the unwind step of walk()).
   void finalizeNode(std::uint32_t index, std::uint32_t child_index);
+  /// Integer coordinates of a cell at some target depth: bit depth - 1 - d
+  /// of each axis is that axis's bit of the child index at depth d.
+  struct CellCoords {
+    std::uint32_t x = 0, y = 0, z = 0;
+  };
+  /// The cell of `p` at `depth` as cellKey() bins it. Fast path: X =
+  /// floor((p.x - lo.x) * inv), inv = 2^depth / rootSize(), and so on for y
+  /// and z. It equals the ladder's answer whenever every axis's fraction
+  /// lies more than the guard band g from 0 and 1, so a sample inside the
+  /// band (or off the grid) takes ladderCoords() instead.
+  ///
+  /// The guard bound. Let u = eps/2 be the unit roundoff, M the largest
+  /// |coordinate| of rootBox() (no ladder center or in-root sample has a
+  /// larger one) and s = rootSize() / 2^depth the cell edge.
+  /// - Ladder centers: center() = (lo + hi) * 0.5 is within 2uM of the
+  ///   exact lo + rootSize()/2 (lo and hi round by uM each, the sum by
+  ///   2uM, the halving is exact). Each rung adds a power of two and rounds
+  ///   by at most uM, so every center is within (maxDepth() + 2) u M of its
+  ///   grid plane lo + j s.
+  /// - The sample: p - lo rounds by at most u |p - lo| <= 2uM, and inv and
+  ///   the product carry a relative error of u each on a value <= 2M / s,
+  ///   so X's fraction is within 6uM / s of the exact (p - lo) / s.
+  /// A fraction further than (maxDepth() + 8) u M / s from 0 and 1 therefore
+  /// sits on the same side of every ladder center as of its plane, and each
+  /// comparison matches the coordinate bit. The guard used is
+  /// g = max(1e-6, 4 (maxDepth() + 4) eps 2M / s), over 8x that bound; where
+  /// g exceeds 0.25 of a cell (0.3 m cells on a root some 1e12-1e13 m
+  /// from the origin) the fast path is off and every point takes the ladder.
+  CellCoords cellCoords(const Vec3& p, int depth) const;
+  /// The seed's center-comparison ladder, descended `depth` levels: the
+  /// exact definition of every bin, used for points near a face.
+  CellCoords ladderCoords(const Vec3& p, int depth) const;
+
   /// The two target sources of walk(): a span of path keys, and a ray
   /// march whose keys are derived on the fly (see octree.cpp).
   struct KeyCursor;
@@ -335,9 +374,8 @@ class OccupancyOctree {
   mutable std::vector<std::uint32_t> block_cells_;
   /// cellSizeAtLevel table, levels 0..maxDepth().
   std::vector<double> level_size_;
-  /// cellKey()'s child-center offset per depth: root_size*0.25, halved per
-  /// depth (depths 0..maxDepth()-1).
-  std::vector<double> ladder_q_;
+  double inv_root_;    ///< 1 / root_size_
+  double guard_root_;  ///< cellCoords()' guard band at depth 0, in cells
   mutable Stats stats_cache_;
   mutable bool stats_dirty_ = true;
 };

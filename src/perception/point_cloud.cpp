@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 
 namespace roborun::perception {
 
@@ -38,17 +39,17 @@ std::uint64_t cellKey(const Vec3& p, double inv_cell) {
 
 }  // namespace
 
-DownsampleResult downsample(const PointCloud& cloud, double precision) {
+DownsampleResult downsample(PointCloud cloud, double precision) {
   DownsampleResult result;
   result.points_in = cloud.points.size();
   result.cloud.origin = cloud.origin;
   result.cloud.max_range = cloud.max_range;
   result.cloud.source_rays = cloud.source_rays;
-  result.cloud.free_rays = cloud.free_rays;
+  result.cloud.free_rays = std::move(cloud.free_rays);
 
   if (precision <= 0.0) {
-    result.cloud.points = cloud.points;
     result.cells_used = cloud.points.size();
+    result.cloud.points = std::move(cloud.points);
     return result;
   }
 

@@ -51,7 +51,9 @@ struct DownsampleResult {
 };
 
 /// Precision operator #1: grid-average downsampling at `precision` meters.
-/// precision <= 0 passes the cloud through untouched.
-DownsampleResult downsample(const PointCloud& cloud, double precision);
+/// precision <= 0 passes the cloud through untouched. Taken by value: the
+/// free rays (and, when passing through, the points) move into the result,
+/// so a caller that hands over a temporary copies nothing.
+DownsampleResult downsample(PointCloud cloud, double precision);
 
 }  // namespace roborun::perception

@@ -122,8 +122,7 @@ PerceptionOutcome NavigationPipeline::integrateSweep(const sim::SensorFrame& fra
   const auto& p_bridge = policy.stage(Stage::PerceptionToPlanning);
 
   // --- Perception: point cloud kernel + precision operator ---
-  const auto raw_cloud = perception::fromSensorFrame(frame);
-  auto ds = perception::downsample(raw_cloud, p_perc.precision);
+  auto ds = perception::downsample(perception::fromSensorFrame(frame), p_perc.precision);
   out.latencies.point_cloud = latency_model_.pointCloud(frame.rayCount());
   out.latencies.comm_point_cloud = config_.comm.cost(perception::byteSizeOf(ds.cloud));
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -390,6 +391,190 @@ TEST_P(OctreeEquivalence, RayWalkMatchesKeyedBatch) {
   RayTrees offset({far - h, far + h}, kVoxMin);
   Rng far_rng(GetParam() + 43);
   sweepRandomFrames(offset, far_rng, far, kHalf, 8);
+}
+
+// --- Near-face binning -------------------------------------------------------
+//
+// cellKey() and the ray cursor bin on integer cell coordinates and fall back
+// to the center-comparison ladder within a guard band of a grid plane; the
+// band grows with the root's distance from the origin, and past a quarter
+// cell the ladder takes every point. These cases put points on the planes
+// and a few ulps to either side, over roots from 1 m to 1e15 m out.
+
+/// `v` moved `ulps` representable doubles up (positive) or down.
+double nudge(double v, int ulps) {
+  const double toward = ulps > 0 ? std::numeric_limits<double>::infinity()
+                                 : -std::numeric_limits<double>::infinity();
+  for (int i = 0; i < std::abs(ulps); ++i) v = std::nextafter(v, toward);
+  return v;
+}
+
+/// The seed descent's path key of `p` at `level`: reference_octree.h's
+/// child choice and child centers from the root center, key-packed.
+std::uint64_t referenceKey(const reference::ReferenceOctree& ref, const Vec3& p, int level) {
+  Vec3 center = ref.rootBox().center();
+  double half = ref.rootSize() * 0.5;
+  std::uint64_t key = 0;
+  for (int d = 0; d < ref.maxDepth() - level; ++d) {
+    const int ci = reference::detail::childIndexFor(center, p);
+    key = (key << 3) | static_cast<std::uint64_t>(ci);
+    center = reference::detail::childCenterFor(center, half, ci);
+    half *= 0.5;
+  }
+  return key;
+}
+
+/// Per axis, the coordinates the level-`level` bins split at: the grid
+/// planes lo + j * cell as doubles, and the centers the seed descent
+/// actually compares against on the way to random points' cells.
+std::array<std::vector<double>, 3> planeValues(const reference::ReferenceOctree& ref, int level,
+                                               Rng& rng) {
+  std::array<std::vector<double>, 3> planes;
+  const Aabb box = ref.rootBox();
+  const double cell = ref.cellSizeAtLevel(level);
+  const int depth = ref.maxDepth() - level;
+  const double lo[3] = {box.lo.x, box.lo.y, box.lo.z};
+  for (int axis = 0; axis < 3; ++axis)
+    for (int j = 0; j <= (1 << depth); ++j)
+      planes[static_cast<std::size_t>(axis)].push_back(lo[axis] + j * cell);
+  for (int i = 0; i < 8; ++i) {
+    const Vec3 p = rng.uniformInBox(box.lo, box.hi);
+    Vec3 center = box.center();
+    double half = ref.rootSize() * 0.5;
+    for (int d = 0; d < depth; ++d) {
+      planes[0].push_back(center.x);
+      planes[1].push_back(center.y);
+      planes[2].push_back(center.z);
+      center = reference::detail::childCenterFor(center, half,
+                                                 reference::detail::childIndexFor(center, p));
+      half *= 0.5;
+    }
+  }
+  return planes;
+}
+
+/// A random element of `values`, moved `ulps` doubles (see nudge()).
+double pickNudged(Rng& rng, const std::vector<double>& values, int ulps) {
+  const int i = rng.uniformInt(0, static_cast<int>(values.size()) - 1);
+  return nudge(values[static_cast<std::size_t>(i)], ulps);
+}
+
+double& axisOf(Vec3& v, int axis) { return axis == 0 ? v.x : axis == 1 ? v.y : v.z; }
+double axisOf(const Vec3& v, int axis) { return axis == 0 ? v.x : axis == 1 ? v.y : v.z; }
+
+/// liveSpan() by brute force on the reference descent's keys: a sample is
+/// live when one Free write of its cell changes the tree.
+SampleWindow bruteLiveSpan(const OccupancyOctree& tree, const reference::ReferenceOctree& ref,
+                           const Vec3& origin, const Vec3& dir, double step, double length,
+                           int level) {
+  SampleWindow live{std::numeric_limits<std::size_t>::max(), 0};
+  std::size_t k = 0;
+  for (double t = step * 0.5; t < length; t += step, ++k) {
+    const Vec3 p = origin + dir * t;
+    if (!tree.rootBox().contains(p)) continue;
+    // queryAtLevel settles all but one case: Free is a Free leaf (settled)
+    // or an inner node with no occupancy (live).
+    const Occupancy coarse = tree.queryAtLevel(p, level);
+    bool changes = coarse == Occupancy::Unknown;
+    if (coarse == Occupancy::Free) {
+      OccupancyOctree copy = tree;
+      const std::uint64_t key = referenceKey(ref, p, level);
+      copy.updateCells({&key, 1}, level, Occupancy::Free);
+      changes = copy.stats().free_volume != tree.stats().free_volume ||
+                copy.liveNodeCount() != tree.liveNodeCount();
+    }
+    if (changes) {
+      live.first = std::min(live.first, k);
+      live.last = k;
+    }
+  }
+  return live;
+}
+
+TEST_P(OctreeEquivalence, NearFaceBinsMatchReferenceDescent) {
+  Rng rng(GetParam() * 7919 + 13);
+  for (const double c : {1.0, 1e3, 1e6, 1e9, 1e12, 1e15}) {
+    SCOPED_TRACE(c);
+    const Vec3 center{c, -c, c};
+    const Vec3 h{kHalf, kHalf, kHalf};
+    RayTrees trees({center - h, center + h}, kVoxMin);
+    const Aabb box = trees.ray.rootBox();
+    const int max_depth = trees.ray.maxDepth();
+    ASSERT_EQ(max_depth, trees.ref.maxDepth());
+
+    // Points on every plane and 1-4 ulps to either side, one axis at a
+    // time; the other two are random, or on a plane themselves.
+    std::size_t points = 0;
+    for (int level = 0; level <= max_depth; ++level) {
+      const auto planes = planeValues(trees.ref, level, rng);
+      for (int axis = 0; axis < 3; ++axis) {
+        for (const double v : planes[static_cast<std::size_t>(axis)]) {
+          for (int ulps = -4; ulps <= 4; ++ulps) {
+            Vec3 p = rng.uniformInBox(box.lo, box.hi);
+            for (int other = 0; other < 3; ++other)
+              if (other != axis && rng.chance(0.5))
+                axisOf(p, other) = pickNudged(rng, planes[static_cast<std::size_t>(other)],
+                                              rng.uniformInt(-4, 4));
+            axisOf(p, axis) = nudge(v, ulps);
+            if (!box.contains(p)) continue;
+            ++points;
+            ASSERT_EQ(trees.ray.cellKey(p, level), referenceKey(trees.ref, p, level))
+                << "level " << level << " axis " << axis << " ulps " << ulps;
+          }
+        }
+      }
+    }
+    EXPECT_GT(points, 1000u);
+
+    // Rays with one sample moved onto a plane (or a few ulps off it) by
+    // nudging the origin, marched at every level; the keyed batch and the
+    // reference replay the same samples, and liveSpan() is checked first.
+    for (int level = 0; level <= max_depth; ++level) {
+      const double step = trees.ray.cellSizeAtLevel(level);
+      const auto planes = planeValues(trees.ref, level, rng);
+      for (int rayi = 0; rayi < 24; ++rayi) {
+        Vec3 origin = rng.uniformInBox(box.lo, box.hi);
+        const Vec3 dir = randomDirection(rng);
+        const double length = rng.uniform(0.5, 2.0 * kHalf);
+        double tk = step * 0.5;  // the march's own t for sample `target`
+        const int target = rng.uniformInt(0, 6);
+        for (int i = 0; i < target && tk + step < length; ++i) tk += step;
+        const int axis = rng.uniformInt(0, 2);
+        const double want = pickNudged(rng, planes[static_cast<std::size_t>(axis)],
+                                       rng.chance(0.5) ? 0 : rng.uniformInt(-4, 4));
+        // The sample is origin + dir * tk, summed per axis: solve for the
+        // origin, then step it an ulp at a time until the sum lands on `want`.
+        const double travel = axisOf(dir * tk, axis);
+        double& o = axisOf(origin, axis);
+        o = want - travel;
+        for (int tries = 0; tries < 8 && o + travel != want; ++tries)
+          o = nudge(o, o + travel < want ? 1 : -1);
+
+        for (double t = step * 0.5; t < length; t += step) {
+          const Vec3 p = origin + dir * t;
+          if (box.contains(p)) {
+            ASSERT_EQ(trees.ray.cellKey(p, level), referenceKey(trees.ref, p, level));
+          }
+        }
+        const SampleWindow got = trees.ray.liveSpan(origin, dir, step, length, level);
+        const SampleWindow brute = bruteLiveSpan(trees.keyed, trees.ref, origin, dir, step, length,
+                                                 level);
+        ASSERT_EQ(got.empty(), brute.empty()) << "level " << level << " ray " << rayi;
+        if (!got.empty()) {
+          EXPECT_EQ(got.first, brute.first);
+          EXPECT_EQ(got.last, brute.last);
+        }
+        trees.march(origin, dir, step, length, level,
+                    rayi % 5 == 4 ? Occupancy::Occupied : Occupancy::Free);
+      }
+      expectSameTree(trees.ray, trees.keyed);
+      const auto& ps = trees.ray.stats();
+      const auto& rs = trees.ref.stats();
+      EXPECT_EQ(ps.occupied_leaves, rs.occupied_leaves);
+      EXPECT_EQ(ps.free_leaves, rs.free_leaves);
+      EXPECT_EQ(ps.inner_nodes, rs.inner_nodes);
+    }
+  }
 }
 
 // Order-independence of a same-level/same-state batch: Morton-sorted batch
