@@ -2,26 +2,22 @@
 // BENCH_PERF.json's fleet_throughput section.
 //
 // Serves the built-in demo catalog (every registered scenario generator
-// family) through scenario::FleetScheduler in the configurations the fleet
-// layer exposes as knobs:
+// family) through scenario::FleetScheduler's one dispatch shape (a ticket
+// queue over shared-engine workers) at two thread counts:
 //
-//   async_1          one worker, free-running queue (the serial anchor)
-//   async_N          N workers, free-running queue
-//   sync_N           N workers, barrier waves (the GenTen-style synchronous
-//                    dispatch shape)
-//   async_N_private  N workers, engine sharing OFF (full: isolates what the
-//                    pooled cross-tenant memo is worth)
+//   async_1          one worker (the serial anchor)
+//   async_N          N workers
 //
-// Every configuration must produce bitwise-identical mission results —
-// the FleetScheduler determinism contract. The bench exits nonzero on any
-// divergence, so a throughput number can never come from a wrong mission.
-// The engine memo hit-rate ACROSS tenants is reported from the shared
-// async_N run (a measurement: which hits land where is scheduling-
-// dependent; the mission results are not).
+// Both must produce bitwise-identical mission results — the FleetScheduler
+// determinism contract. The bench exits nonzero on any divergence, so a
+// throughput number can never come from a wrong mission. The engine memo
+// hit-rate ACROSS tenants is reported from the async_N run (a measurement:
+// which hits land where is scheduling-dependent; the mission results are
+// not).
 //
-// On top of the dispatch variants, a warm-store pair exercises the
-// content-addressed result store: a cold run populates a fresh store
-// directory, a warm rerun (different dispatch mode) must hit on every case,
+// On top of the thread-count variants, a warm-store pair exercises the
+// content-addressed result store: a cold run on N workers populates a fresh
+// store directory, a warm rerun on one worker must hit on every case,
 // and the two runs' deterministic reports are compared byte for byte — the
 // bench exits nonzero if a warm report diverges from cold, so a store
 // speedup number can never come from a wrong replay.
@@ -103,17 +99,9 @@ int main(int argc, char** argv) {
   {
     scenario::FleetConfig c;
     c.threads = 1;
-    c.mode = scenario::DispatchMode::Async;
     variants.push_back({"async_1", c, {}});
     c.threads = threads;
     variants.push_back({"async_N", c, {}});
-    c.mode = scenario::DispatchMode::Sync;
-    variants.push_back({"sync_N", c, {}});
-    if (!smoke) {
-      c.mode = scenario::DispatchMode::Async;
-      c.share_engine = false;
-      variants.push_back({"async_N_private", c, {}});
-    }
   }
 
   std::size_t total_missions = 0;
@@ -127,7 +115,7 @@ int main(int argc, char** argv) {
     total_missions = v.result.rows.size();
   }
 
-  // Determinism gate: every configuration must have produced bitwise-
+  // Determinism gate: every thread count must have produced bitwise-
   // identical mission results.
   bool identical = true;
   for (std::size_t i = 1; i < variants.size(); ++i) {
@@ -140,9 +128,8 @@ int main(int argc, char** argv) {
   // Engine-counter gate: every mission profiles once per epoch, so
   // the fleet-wide profile count (and the total solve count — the hit/miss
   // SPLIT is scheduling-dependent, the sum is not) must agree across thread
-  // counts and dispatch modes for the shared-engine variants.
+  // counts.
   for (const Variant& v : variants) {
-    if (!v.result.engine_shared) continue;
     const core::EngineStats& a = variants[0].result.engine;
     const core::EngineStats& b = v.result.engine;
     if (a.profile_builds != b.profile_builds ||
@@ -154,9 +141,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Warm-store pair: cold populates a fresh store directory, warm replays
-  // from it under a different dispatch mode. The warm report must be byte-
-  // identical to cold — the store contract is "faster, never different".
+  // Warm-store pair: cold populates a fresh store directory on N workers,
+  // warm replays from it on one. The warm report must be byte-identical to
+  // cold — the store contract is "faster, never different".
   const std::filesystem::path store_dir =
       std::filesystem::temp_directory_path() / "roborun_bench_fleet_store";
   std::error_code store_ec;
@@ -170,7 +157,6 @@ int main(int argc, char** argv) {
   {
     scenario::FleetConfig c;
     c.threads = threads;
-    c.mode = scenario::DispatchMode::Async;
     c.store = &result_store;
     scenario::FleetScheduler cold(base, c);
     if (cold.admitAll(catalog) != catalog.size()) {
@@ -178,7 +164,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     cold_result = cold.run();
-    c.mode = scenario::DispatchMode::Sync;
+    c.threads = 1;
     scenario::FleetScheduler warm(base, c);
     if (warm.admitAll(catalog) != catalog.size()) {
       std::cerr << "bench_fleet_throughput: catalog admission failed (warm store run)\n";
@@ -204,11 +190,8 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     std::cerr << "  " << v.name << ":" << std::string(18 - std::string(v.name).size(), ' ')
               << jsonNumber(v.result.missions_per_sec, 2) << " missions/s  ("
-              << jsonNumber(v.result.wall_s, 3) << " s";
-    if (v.result.engine_shared)
-      std::cerr << ", memo hit-rate "
-                << jsonNumber(100.0 * v.result.engine.solverMemoHitRate(), 1) << "%";
-    std::cerr << ")\n";
+              << jsonNumber(v.result.wall_s, 3) << " s, memo hit-rate "
+              << jsonNumber(100.0 * v.result.engine.solverMemoHitRate(), 1) << "%)\n";
   }
   std::cerr << "  warm store:       " << jsonNumber(warm_result.missions_per_sec, 2)
             << " missions/s  (" << jsonNumber(warm_result.wall_s, 3) << " s, hit-rate "
@@ -231,7 +214,6 @@ int main(int argc, char** argv) {
     const Variant& v = variants[i];
     json << "    \"" << v.name << "\": {\"wall_s\": " << jsonNumber(v.result.wall_s)
          << ", \"missions_per_sec\": " << jsonNumber(v.result.missions_per_sec, 3)
-         << ", \"engine_shared\": " << (v.result.engine_shared ? "true" : "false")
          << ", \"profile_builds\": " << v.result.engine.profile_builds
          << ", \"solver_memo_hit_rate\": "
          << jsonNumber(v.result.engine.solverMemoHitRate(), 4) << "}"
@@ -246,10 +228,6 @@ int main(int argc, char** argv) {
   json << "  \"speedup\": {\"async_N\": "
        << jsonNumber(variants[0].result.wall_s /
                          std::max(variants[1].result.wall_s, 1e-12),
-                     3)
-       << ", \"sync_N\": "
-       << jsonNumber(variants[0].result.wall_s /
-                         std::max(variants[2].result.wall_s, 1e-12),
                      3)
        << "},\n";
   json << "  \"store\": {\"cold_wall_s\": " << jsonNumber(cold_result.wall_s)

@@ -23,4 +23,10 @@ if(ROBORUN_SANITIZE)
   if("address" IN_LIST ROBORUN_SANITIZE OR "undefined" IN_LIST ROBORUN_SANITIZE)
     add_compile_definitions(_GLIBCXX_ASSERTIONS)
   endif()
+  # A UBSan report aborts the process instead of printing and running on,
+  # so a test, bench or CI step fails on it.
+  if("undefined" IN_LIST ROBORUN_SANITIZE OR "float-cast-overflow" IN_LIST ROBORUN_SANITIZE)
+    add_compile_options(-fno-sanitize-recover=all)
+    add_link_options(-fno-sanitize-recover=all)
+  endif()
 endif()

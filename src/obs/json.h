@@ -5,7 +5,7 @@
 // each tool; they are hoisted here so every serializer renders a double
 // and escapes a string byte-identically. That byte identity is
 // load-bearing: the deterministic fleet/suite --out documents promise
-// byte equality across threads and dispatch modes, and fixed-decimal
+// byte equality across thread counts, and fixed-decimal
 // formatting over bit-identical inputs is what makes that promise
 // keepable.
 #pragma once

@@ -64,7 +64,7 @@ void writeFleetJson(std::ostream& os, const FleetResult& result,
   os << "  \"schema\": \"roborun-fleet-v3\",\n";
   os << "  \"catalog\": \"" << jsonEscape(catalog_label) << "\",\n";
   // The intra-mission execution mode is a deterministic, result-shaping
-  // config (unlike --threads/--mode, which this document must be invariant
+  // config (unlike --threads, which this document must be invariant
   // to), so it belongs in the replayable report: the base mode here, each
   // case's effective mode on its row (the pipeline_async dial can differ).
   os << "  \"pipeline\": \"" << runtime::executionModeName(result.pipeline) << "\",\n";
@@ -177,14 +177,12 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
   os << "  \"schema\": \"roborun-fleet-throughput-v1\",\n";
   os << "  \"catalog\": \"" << jsonEscape(catalog_label) << "\",\n";
   os << "  \"threads\": " << result.threads << ",\n";
-  os << "  \"mode\": \"" << dispatchModeName(result.mode) << "\",\n";
   os << "  \"pipeline\": \"" << runtime::executionModeName(result.pipeline) << "\",\n";
   os << "  \"scenarios\": " << result.shards.size() << ",\n";
   os << "  \"missions\": " << result.rows.size() << ",\n";
   os << "  \"wall_s\": " << jsonNumber(result.wall_s) << ",\n";
   os << "  \"missions_per_sec\": " << jsonNumber(result.missions_per_sec, 3) << ",\n";
   os << "  \"engine\": {\n";
-  os << "    \"shared\": " << (result.engine_shared ? "true" : "false") << ",\n";
   os << "    \"decisions\": " << engine.decisions << ",\n";
   os << "    \"solver_memo_hits\": " << engine.solver_memo_hits << ",\n";
   os << "    \"solver_memo_misses\": " << engine.solver_memo_misses << ",\n";

@@ -6,10 +6,9 @@
 //   writeFleetJson       the RESULT document: only deterministic fields
 //                        (case identity, mission metrics, shard
 //                        aggregates). Byte-identical for any --threads
-//                        value and either dispatch mode on the same
-//                        catalog — diff it freely.
+//                        value on the same catalog — diff it freely.
 //   writeFleetBenchJson  the MEASUREMENT document: wall times, missions/s,
-//                        dispatch shape, the FleetResult's engine and store
+//                        thread count, the FleetResult's engine and store
 //                        counters (memo hit-rate across tenants), exact
 //                        p50/p95/p99 of the per-case mission / plan /
 //                        decision walls, the epoch staleness split and

@@ -86,29 +86,25 @@ FleetResult FleetScheduler::run() {
   FleetResult out;
   out.cases = cases_;
   out.threads = config_.threads;
-  out.mode = config_.mode;
   out.pipeline = base_.pipeline.execution;
   out.rows.resize(cases_.size());
 
   // Shared governor core: calibrated once from the base config, pooled
   // across every tenant that can legally use it (engine_shareable cases
   // running the Exhaustive solver — see MissionConfig::shared_engine).
-  std::shared_ptr<core::DecisionEngine> engine;
-  if (config_.share_engine) {
-    core::DecisionEngine::Config engine_config;
-    engine_config.knobs = base_.knobs;
-    engine_config.budgeter = base_.budgeter;
-    engine_config.profiler = base_.profiler;
-    // Fleet traffic mixes many tenants' envelopes through one sharded memo;
-    // give it headroom beyond the single-vehicle default so cross-tenant
-    // reuse isn't capped by evictions.
-    engine_config.solver_memo_capacity = 4096;
-    // The shared engine's governor sub-spans (profile/budget/solve) record
-    // into the same fleet-level recorder as everything else.
-    engine_config.spans = config_.spans;
-    engine = core::DecisionEngine::calibrated(sim::LatencyModel(base_.pipeline.latency),
-                                              engine_config);
-  }
+  core::DecisionEngine::Config engine_config;
+  engine_config.knobs = base_.knobs;
+  engine_config.budgeter = base_.budgeter;
+  engine_config.profiler = base_.profiler;
+  // Fleet traffic mixes many tenants' envelopes through one sharded memo;
+  // give it headroom beyond the single-vehicle default so cross-tenant
+  // reuse isn't capped by evictions.
+  engine_config.solver_memo_capacity = 4096;
+  // The shared engine's governor sub-spans (profile/budget/solve) record
+  // into the same fleet-level recorder as everything else.
+  engine_config.spans = config_.spans;
+  const std::shared_ptr<core::DecisionEngine> engine = core::DecisionEngine::calibrated(
+      sim::LatencyModel(base_.pipeline.latency), engine_config);
 
   const unsigned threads = static_cast<unsigned>(
       std::max<std::size_t>(1, std::min<std::size_t>(config_.threads,
@@ -136,7 +132,7 @@ FleetResult FleetScheduler::run() {
     // store instead of flying the mission. The stored result is
     // bit-identical to a fresh run, so a hit is dispatch-order independent
     // — it cannot perturb the deterministic report no matter which worker
-    // or wave it lands on.
+    // serves it.
     store::StoreKey store_key;
     std::size_t case_bytes = 0;
     if (config_.store != nullptr) {
@@ -156,8 +152,7 @@ FleetResult FleetScheduler::run() {
       }
     }
     runtime::MissionConfig config = c.config;
-    if (engine && c.engine_shareable &&
-        config.solver_strategy == core::StrategyType::Exhaustive)
+    if (c.engine_shareable && config.solver_strategy == core::StrategyType::Exhaustive)
       config.shared_engine = engine;
     config.pipeline.shared_arena = arenas[worker].get();
     // Thread the recorder into the tenant pipeline: the mission loop's
@@ -173,7 +168,7 @@ FleetResult FleetScheduler::run() {
     // identical seeded mission, so a deterministic mission outcome would
     // only repeat, while wall aborts can be load-dependent. The retry count
     // itself is deterministic — a deterministic failure fails every attempt,
-    // so `attempts` is the same for any thread count or dispatch mode.
+    // so `attempts` is the same for any thread count.
     for (std::size_t attempt = 0; attempt < 1 + config_.retry_limit; ++attempt) {
       // Only re-runs record a Retry span: attempt 0 is the normal path, and
       // tracing it would double-count every healthy mission.
@@ -215,40 +210,24 @@ FleetResult FleetScheduler::run() {
   };
 
   const auto fleet_start = std::chrono::steady_clock::now();
-  if (config_.mode == DispatchMode::Async) {
-    // Free-running ticket queue: workers pull the next case as they finish.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&](unsigned slot) {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= cases_.size()) return;
-        run_case(i, slot);
-      }
-    };
-    std::vector<std::thread> pool;
-    for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-    worker(0);
-    for (std::thread& t : pool) t.join();
-  } else {
-    // Synchronous waves: `threads` cases per wave, a barrier (join) between
-    // waves, worker k always serving the wave's k-th case.
-    for (std::size_t base = 0; base < cases_.size(); base += threads) {
-      const std::size_t wave = std::min<std::size_t>(threads, cases_.size() - base);
-      std::vector<std::thread> pool;
-      for (std::size_t k = 1; k < wave; ++k)
-        pool.emplace_back(run_case, base + k, static_cast<unsigned>(k));
-      run_case(base, 0);
-      for (std::thread& t : pool) t.join();
+  // Free-running ticket queue: workers pull the next case as they finish.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&](unsigned slot) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= cases_.size()) return;
+      run_case(i, slot);
     }
-  }
+  };
+  std::vector<std::thread> pool;
+  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  worker(0);
+  for (std::thread& t : pool) t.join();
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - fleet_start)
                    .count();
   if (out.wall_s > 0.0 && !out.rows.empty())
     out.missions_per_sec = static_cast<double>(out.rows.size()) / out.wall_s;
-  if (engine) {
-    out.engine_shared = true;
-    out.engine = engine->stats();
-  }
+  out.engine = engine->stats();
   if (config_.store != nullptr) {
     out.store_enabled = true;
     out.store = config_.store->stats().minus(store_stats_before);

@@ -14,22 +14,19 @@
 //     so steady-state replanning stays allocation-free across the missions
 //     a worker serves back to back.
 //
-// Dispatch modes (the GenTen sync-vs-async scheduling axis, made an
-// explicit knob):
+// Dispatch: one shape. `threads` workers pull cases from a free-running
+// ticket queue (an atomic counter) and take the next case the moment they
+// finish one, all deciding through the one shared engine. Case -> worker
+// assignment is a race; nothing deterministic depends on it. There is no
+// barrier-wave shape and no private-engine switch: measured at 4 threads,
+// waves ran slower than one worker, and private engines changed no result.
 //
-//   Sync   missions run in deterministic waves of `threads` cases with a
-//          barrier between waves — every shard steps together, worker k
-//          always serves case wave*threads+k. The fairness/phase-aligned
-//          shape; stragglers idle the whole wave.
-//   Async  a free-running work queue (atomic ticket) — workers pull the
-//          next case the moment they finish one. Best load balance; case ->
-//          worker assignment is a race.
-//
-// The determinism contract, for BOTH modes and ANY thread count: every
-// mission metric in FleetResult (rows, shard aggregates) is bitwise
-// identical — results land at their case index, missions are independently
-// seeded, and the shared engine/arena infrastructure answers bit-identically
-// regardless of pool state (see decision_engine.h / planner_arena.h).
+// The determinism contract, for ANY thread count: every mission metric in
+// FleetResult (rows, shard aggregates) is bitwise identical, and each row
+// equals its case flown alone with a private engine and arena — results
+// land at their case index, missions are independently seeded, and the
+// shared engine/arena infrastructure answers bit-identically regardless of
+// pool state (see decision_engine.h / planner_arena.h).
 // Only the wall-time fields and the engine's memo hit/miss split (which hits
 // land where is a race) vary run to run; tools keep those out of the
 // deterministic report (fleet_report.h). The engine's decision and
@@ -52,24 +49,14 @@
 
 namespace roborun::scenario {
 
-enum class DispatchMode { Sync, Async };
-
-inline const char* dispatchModeName(DispatchMode m) {
-  return m == DispatchMode::Sync ? "sync" : "async";
-}
-
-inline bool parseDispatchMode(const std::string& name, DispatchMode& out) {
-  if (name == "sync") out = DispatchMode::Sync;
-  else if (name == "async") out = DispatchMode::Async;
-  else return false;
-  return true;
-}
+/// Declared only because perfbench names them (FleetConfig::mode); the
+/// scheduler never reads either. There is one dispatch shape, the ticket
+/// queue above.
+enum class DispatchMode { Async };
 
 struct FleetConfig {
   unsigned threads = 1;
-  DispatchMode mode = DispatchMode::Async;
-  /// Pool one DecisionEngine (solver memo) across every tenant mission.
-  bool share_engine = true;
+  DispatchMode mode = DispatchMode::Async;  ///< never read; see DispatchMode
   /// Extra attempts granted to a case whose mission ends in an
   /// infrastructure failure (Crashed / AbortedWallDeadline). Retries are
   /// deterministic re-runs of the same seeded mission, so they only help
@@ -135,9 +122,7 @@ struct FleetResult {
   double wall_s = 0.0;
   double missions_per_sec = 0.0;
   unsigned threads = 1;
-  DispatchMode mode = DispatchMode::Async;
-  bool engine_shared = false;
-  core::EngineStats engine;  ///< shared-engine counters; zeros when unshared
+  core::EngineStats engine;  ///< the shared engine's counters
   bool store_enabled = false;
   /// This run's store traffic (delta over the store's lifetime counters —
   /// a store may outlive many fleets). Like the engine counters, a
@@ -147,8 +132,8 @@ struct FleetResult {
 
 /// Bitwise comparison of every deterministic field (each row's full
 /// MissionResult including all decision records, and the case list) —
-/// the contract fleet tools and tests pin across thread counts and
-/// dispatch modes. Wall-time fields and engine counters are excluded.
+/// the contract fleet tools and tests pin across thread counts.
+/// Wall-time fields and engine counters are excluded.
 bool fleetResultsIdentical(const FleetResult& a, const FleetResult& b);
 
 class FleetScheduler {

@@ -12,7 +12,7 @@
 //   * leaves every healthy tenant's results bit-identical to a fleet that
 //     never contained the poisoned case,
 //   * and keeps the whole report — failures included — byte-identical
-//     across thread counts and dispatch modes.
+//     across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -57,11 +57,9 @@ std::vector<scenario::ScenarioSpec> chaosCatalog() {
 }
 
 scenario::FleetResult runFleet(const std::vector<scenario::ScenarioSpec>& catalog,
-                               unsigned threads, scenario::DispatchMode mode,
-                               std::size_t retry_limit = 1) {
+                               unsigned threads, std::size_t retry_limit = 1) {
   scenario::FleetConfig config;
   config.threads = threads;
-  config.mode = mode;
   config.retry_limit = retry_limit;
   scenario::FleetScheduler scheduler(runtime::smokeMissionConfig(), config);
   EXPECT_EQ(scheduler.admitAll(catalog), catalog.size());
@@ -75,8 +73,7 @@ std::string renderReport(const scenario::FleetResult& result) {
 }
 
 TEST(FleetFaultTest, PoisonedTenantIsIsolatedAsCrashedRow) {
-  const scenario::FleetResult result =
-      runFleet(chaosCatalog(), 2, scenario::DispatchMode::Async);
+  const scenario::FleetResult result = runFleet(chaosCatalog(), 2);
 
   std::size_t crashed = 0;
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
@@ -103,10 +100,8 @@ TEST(FleetFaultTest, HealthyTenantsUnperturbedByCrashingNeighbour) {
   std::vector<scenario::ScenarioSpec> with = chaosCatalog();
   std::vector<scenario::ScenarioSpec> without = {with[0], with[2]};
 
-  const scenario::FleetResult chaotic =
-      runFleet(with, 3, scenario::DispatchMode::Async);
-  const scenario::FleetResult clean =
-      runFleet(without, 3, scenario::DispatchMode::Async);
+  const scenario::FleetResult chaotic = runFleet(with, 3);
+  const scenario::FleetResult clean = runFleet(without, 3);
 
   std::vector<const scenario::FleetRow*> healthy;
   for (std::size_t i = 0; i < chaotic.rows.size(); ++i)
@@ -127,7 +122,7 @@ TEST(FleetFaultTest, RetriesAreBoundedAndDeterministic) {
   // A deterministic crash fails every attempt, so the poisoned row consumes
   // exactly 1 + retry_limit runs; healthy rows are never retried.
   const scenario::FleetResult result =
-      runFleet(chaosCatalog(), 1, scenario::DispatchMode::Async, /*retry_limit=*/2);
+      runFleet(chaosCatalog(), 1, /*retry_limit=*/2);
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     if (result.cases[i].scenario == "poisoned")
       EXPECT_EQ(result.rows[i].attempts, 3u);
@@ -136,28 +131,18 @@ TEST(FleetFaultTest, RetriesAreBoundedAndDeterministic) {
   }
 }
 
-TEST(FleetFaultTest, FaultedFleetIdenticalAcrossThreadsAndModes) {
-  const scenario::FleetResult reference =
-      runFleet(chaosCatalog(), 1, scenario::DispatchMode::Async);
+TEST(FleetFaultTest, FaultedFleetIdenticalAcrossThreads) {
+  const scenario::FleetResult reference = runFleet(chaosCatalog(), 1);
   const std::string reference_json = renderReport(reference);
-  const struct {
-    unsigned threads;
-    scenario::DispatchMode mode;
-  } grid[] = {{4, scenario::DispatchMode::Async},
-              {2, scenario::DispatchMode::Sync},
-              {4, scenario::DispatchMode::Sync}};
-  for (const auto& g : grid) {
-    const scenario::FleetResult other = runFleet(chaosCatalog(), g.threads, g.mode);
-    EXPECT_TRUE(scenario::fleetResultsIdentical(reference, other))
-        << g.threads << " threads, " << scenario::dispatchModeName(g.mode);
-    EXPECT_EQ(reference_json, renderReport(other))
-        << g.threads << " threads, " << scenario::dispatchModeName(g.mode);
+  for (const unsigned threads : {2u, 4u}) {
+    const scenario::FleetResult other = runFleet(chaosCatalog(), threads);
+    EXPECT_TRUE(scenario::fleetResultsIdentical(reference, other)) << threads << " threads";
+    EXPECT_EQ(reference_json, renderReport(other)) << threads << " threads";
   }
 }
 
 TEST(FleetFaultTest, ReportCarriesFailuresSectionAndAggregates) {
-  const scenario::FleetResult result =
-      runFleet(chaosCatalog(), 2, scenario::DispatchMode::Sync);
+  const scenario::FleetResult result = runFleet(chaosCatalog(), 2);
   const std::string json = renderReport(result);
 
   EXPECT_NE(json.find("\"failures\": ["), std::string::npos);

@@ -1,7 +1,7 @@
 // Tier2 pin of the observability contract's load-bearing half: tracing is
 // strictly OUTSIDE the bitwise replay contract. A fleet run's deterministic
 // --out document must be byte-identical with a SpanRecorder attached or
-// not, for every dispatch mode and worker count — a recorder only reads
+// not, for every worker count — a recorder only reads
 // steady_clock and appends to its own buffer, never sim state.
 //
 // (The single-mission flavour of the same contract runs in tier1's
@@ -39,12 +39,10 @@ std::vector<scenario::ScenarioSpec> tinyCatalog() {
   return {tinySpec("corridor_gradient", 11), tinySpec("swarm_crossing", 23)};
 }
 
-std::string runFleetJson(unsigned threads, scenario::DispatchMode mode,
-                         obs::SpanRecorder* spans,
+std::string runFleetJson(unsigned threads, obs::SpanRecorder* spans,
                          store::ResultStore* store = nullptr) {
   scenario::FleetConfig config;
   config.threads = threads;
-  config.mode = mode;
   config.spans = spans;
   config.store = store;
   scenario::FleetScheduler scheduler(runtime::smokeMissionConfig(), config);
@@ -55,18 +53,13 @@ std::string runFleetJson(unsigned threads, scenario::DispatchMode mode,
   return os.str();
 }
 
-TEST(ObsByteIdentityTest, FleetReportUnchangedByTracingAcrossThreadsAndModes) {
-  for (const scenario::DispatchMode mode :
-       {scenario::DispatchMode::Sync, scenario::DispatchMode::Async}) {
-    const std::string baseline = runFleetJson(1, mode, nullptr);
-    for (const unsigned threads : {1u, 4u, 16u}) {
-      obs::SpanRecorder recorder;
-      const std::string traced = runFleetJson(threads, mode, &recorder);
-      EXPECT_EQ(traced, baseline)
-          << "mode=" << (mode == scenario::DispatchMode::Sync ? "sync" : "async")
-          << " threads=" << threads;
-      EXPECT_GT(recorder.spanCount(), 0u);
-    }
+TEST(ObsByteIdentityTest, FleetReportUnchangedByTracingAcrossThreads) {
+  const std::string baseline = runFleetJson(1, nullptr);
+  for (const unsigned threads : {1u, 4u, 16u}) {
+    obs::SpanRecorder recorder;
+    const std::string traced = runFleetJson(threads, &recorder);
+    EXPECT_EQ(traced, baseline) << "threads=" << threads;
+    EXPECT_GT(recorder.spanCount(), 0u);
   }
 }
 
@@ -79,7 +72,7 @@ TEST(ObsByteIdentityTest, FleetTraceCarriesCaseEpochsAndStoreLookups) {
   store_config.version = "test";
   store::ResultStore store(store_config);
   obs::SpanRecorder recorder;
-  runFleetJson(4, scenario::DispatchMode::Async, &recorder, &store);
+  runFleetJson(4, &recorder, &store);
   std::set<obs::Stage> stages;
   std::set<std::uint64_t> case_epochs;
   for (const obs::SpanRecord& s : recorder.spans()) {

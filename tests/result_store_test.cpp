@@ -6,7 +6,7 @@
 //     every key when bumped;
 //   * a store hit is bit-identical to running the mission, so a warm-store
 //     fleet emits a byte-identical report to a cold one across thread
-//     counts and dispatch modes;
+//     counts;
 //   * corrupt or truncated records are misses, never errors — the fleet
 //     falls back to running the mission and re-inserts a clean record;
 //   * readonly stores never write files;
@@ -116,11 +116,9 @@ std::vector<scenario::ScenarioSpec> smallCatalog() {
 }
 
 scenario::FleetResult runFleet(const std::vector<scenario::ScenarioSpec>& catalog,
-                               unsigned threads, scenario::DispatchMode mode,
-                               store::ResultStore* store) {
+                               unsigned threads, store::ResultStore* store) {
   scenario::FleetConfig config;
   config.threads = threads;
-  config.mode = mode;
   config.store = store;
   scenario::FleetScheduler scheduler(runtime::smokeMissionConfig(), config);
   EXPECT_EQ(scheduler.admitAll(catalog), catalog.size());
@@ -332,28 +330,23 @@ TEST(ResultStoreTest, ReadonlyStoreNeverWritesFiles) {
 // ---------------------------------------------------------------------------
 // Fleet integration
 
-TEST(FleetStoreTest, WarmReportIsByteIdenticalAcrossThreadsAndModes) {
+TEST(FleetStoreTest, WarmReportIsByteIdenticalAcrossThreads) {
   ScratchDir dir("fleet_warm");
   const auto catalog = smallCatalog();
   store::ResultStore store = makeStore(dir, store::defaultVersionStamp("smoke"));
 
   const scenario::FleetResult cold =
-      runFleet(catalog, 2, scenario::DispatchMode::Async, &store);
+      runFleet(catalog, 2, &store);
   const std::string cold_report = renderReport(cold);
   EXPECT_EQ(cold.store.misses, cold.rows.size());
   EXPECT_EQ(cold.store.inserts, cold.rows.size());
 
-  // The pinned contract: threads 1/4/16 and sync/async all replay the cold
-  // report byte for byte from the store.
+  // The pinned contract: threads 1/4/16 all replay the cold report byte
+  // for byte from the store.
   for (const unsigned threads : {1u, 4u, 16u}) {
-    for (const auto mode :
-         {scenario::DispatchMode::Sync, scenario::DispatchMode::Async}) {
-      const scenario::FleetResult warm = runFleet(catalog, threads, mode, &store);
-      EXPECT_EQ(warm.store.hits(), warm.rows.size())
-          << threads << " threads, " << scenario::dispatchModeName(mode);
-      EXPECT_EQ(renderReport(warm), cold_report)
-          << threads << " threads, " << scenario::dispatchModeName(mode);
-    }
+    const scenario::FleetResult warm = runFleet(catalog, threads, &store);
+    EXPECT_EQ(warm.store.hits(), warm.rows.size()) << threads << " threads";
+    EXPECT_EQ(renderReport(warm), cold_report) << threads << " threads";
   }
 }
 
@@ -362,7 +355,7 @@ TEST(FleetStoreTest, CorruptRecordFallsBackToRunningTheMission) {
   const auto catalog = smallCatalog();
   store::ResultStore store = makeStore(dir, store::defaultVersionStamp("smoke"));
   const std::string cold_report =
-      renderReport(runFleet(catalog, 2, scenario::DispatchMode::Async, &store));
+      renderReport(runFleet(catalog, 2, &store));
 
   // Damage one record file, then warm-run through a fresh store instance
   // (the first store still holds every result in its LRU front).
@@ -377,7 +370,7 @@ TEST(FleetStoreTest, CorruptRecordFallsBackToRunningTheMission) {
   }
   store::ResultStore reopened = makeStore(dir, store::defaultVersionStamp("smoke"));
   const scenario::FleetResult warm =
-      runFleet(catalog, 2, scenario::DispatchMode::Async, &reopened);
+      runFleet(catalog, 2, &reopened);
   // The damaged case re-ran and was re-inserted; the report is still byte-
   // identical to cold — corruption costs time, never correctness.
   EXPECT_EQ(warm.store.corrupt_rejected, 1u);
@@ -402,7 +395,7 @@ TEST(FleetStoreTest, InfrastructureFailureRowsBypassTheStore) {
 
   store::ResultStore store = makeStore(dir, store::defaultVersionStamp("smoke"));
   const scenario::FleetResult cold =
-      runFleet(catalog, 2, scenario::DispatchMode::Async, &store);
+      runFleet(catalog, 2, &store);
   std::size_t crashed = 0;
   for (const scenario::FleetRow& row : cold.rows)
     crashed += row.result.status == runtime::MissionStatus::Crashed ? 1 : 0;
@@ -410,7 +403,7 @@ TEST(FleetStoreTest, InfrastructureFailureRowsBypassTheStore) {
   EXPECT_EQ(cold.store.inserts, cold.rows.size() - 1);
 
   const scenario::FleetResult warm =
-      runFleet(catalog, 2, scenario::DispatchMode::Async, &store);
+      runFleet(catalog, 2, &store);
   EXPECT_EQ(warm.store.hits(), warm.rows.size() - 1);
   EXPECT_EQ(warm.store.misses, 1u);  // the poisoned case re-ran (and re-crashed)
   EXPECT_EQ(warm.store.inserts, 0u);

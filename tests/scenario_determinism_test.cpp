@@ -7,10 +7,10 @@
 //    Rng, no clocks, no global state), checked through describeCases()'s
 //    exact bit-pattern dump.
 //  * Fleet: FleetScheduler results must be bitwise identical for any
-//    --threads value, for sync vs async dispatch, and with the pooled
-//    engine on or off, and the evaluation grid's cases must fly exactly
-//    what a direct runMission flies — the contract fleet_runner's
-//    byte-identical --out JSON rests on.
+//    --threads value, and every fleet case — catalog or evaluation grid —
+//    must fly exactly what a direct runMission with a private engine and
+//    arena flies: the contract fleet_runner's byte-identical --out JSON
+//    rests on.
 //
 // The fleet cases also check that the --bench-json document prints the
 // FleetResult's own engine, store, staleness and wall numbers.
@@ -55,15 +55,12 @@ std::vector<scenario::ScenarioSpec> tinyCatalog() {
 
 /// Flies the tiny catalog; with `staleness`, every epoch's staleness is
 /// recorded into it (a measurement: results are identical either way).
-scenario::FleetResult runFleet(unsigned threads, scenario::DispatchMode mode,
-                               bool share_engine = true,
+scenario::FleetResult runFleet(unsigned threads,
                                scenario::EpochStaleness* staleness = nullptr) {
   runtime::MissionConfig base = runtime::smokeMissionConfig();
   if (staleness != nullptr) scenario::observeEpochStaleness(base, *staleness);
   scenario::FleetConfig config;
   config.threads = threads;
-  config.mode = mode;
-  config.share_engine = share_engine;
   scenario::FleetScheduler scheduler(base, config);
   EXPECT_EQ(scheduler.admitAll(tinyCatalog()), 2u);
   return scheduler.run();
@@ -338,8 +335,6 @@ void expectBenchJsonMatchesStructs(const scenario::FleetResult& result,
   const obs::JsonValue* engine = doc.find("engine");
   ASSERT_NE(engine, nullptr);
   const core::EngineStats& e = result.engine;
-  ASSERT_NE(engine->find("shared"), nullptr);
-  EXPECT_EQ(engine->find("shared")->boolean, result.engine_shared);
   EXPECT_EQ(engine->numberAt("decisions", -1), e.decisions);
   EXPECT_EQ(engine->numberAt("solver_memo_hits", -1), e.solver_memo_hits);
   EXPECT_EQ(engine->numberAt("solver_memo_misses", -1), e.solver_memo_misses);
@@ -401,13 +396,16 @@ void expectBenchJsonMatchesStructs(const scenario::FleetResult& result,
 }
 
 TEST(FleetSchedulerTest, ResultsIndependentOfThreadCount) {
-  const scenario::FleetResult serial = runFleet(1, scenario::DispatchMode::Async);
+  const scenario::FleetResult serial = runFleet(1);
   ASSERT_EQ(serial.rows.size(), 4u);
   ASSERT_GT(serial.rows[0].result.decisions(), 0u);
   EXPECT_GT(serial.engine.profile_builds, 0u);
   const std::string serial_json = fleetJson(serial);
   for (const unsigned threads : {4u, 16u}) {
-    const scenario::FleetResult parallel = runFleet(threads, scenario::DispatchMode::Async);
+    // The parallel fleets also record epoch staleness; their workers call
+    // the observer concurrently.
+    scenario::EpochStaleness staleness;
+    const scenario::FleetResult parallel = runFleet(threads, &staleness);
     EXPECT_TRUE(scenario::fleetResultsIdentical(serial, parallel))
         << threads << " threads diverged from serial";
     // The deterministic report is byte-stable across thread counts.
@@ -417,34 +415,27 @@ TEST(FleetSchedulerTest, ResultsIndependentOfThreadCount) {
     EXPECT_EQ(parallel.engine.profile_builds, serial.engine.profile_builds) << threads;
     EXPECT_EQ(solves(parallel), solves(serial)) << threads;
     expectShardsConsistentWithRows(parallel);
+    expectBenchJsonMatchesStructs(parallel, staleness);
   }
 }
 
-TEST(FleetSchedulerTest, SyncAndAsyncDispatchAgree) {
-  const scenario::FleetResult async = runFleet(4, scenario::DispatchMode::Async);
-  // The sync fleet also records epoch staleness; its four workers call the
-  // observer concurrently.
-  scenario::EpochStaleness staleness;
-  const scenario::FleetResult sync =
-      runFleet(4, scenario::DispatchMode::Sync, true, &staleness);
-  EXPECT_TRUE(scenario::fleetResultsIdentical(async, sync));
-  // ...and byte-stable across dispatch modes.
-  EXPECT_EQ(fleetJson(async), fleetJson(sync));
-  EXPECT_EQ(sync.engine.profile_builds, async.engine.profile_builds);
-  EXPECT_EQ(solves(sync), solves(async));
-  expectBenchJsonMatchesStructs(sync, staleness);
-}
-
-TEST(FleetSchedulerTest, PooledInfrastructureDoesNotChangeResults) {
-  const scenario::FleetResult pooled = runFleet(4, scenario::DispatchMode::Async, true);
-  const scenario::FleetResult isolated =
-      runFleet(4, scenario::DispatchMode::Async, false);
-  EXPECT_FALSE(isolated.engine_shared);
-  EXPECT_TRUE(pooled.engine_shared);
+TEST(FleetSchedulerTest, PooledInfrastructureMatchesPrivateMissions) {
+  // Every row of the pooled fleet (one shared engine, per-worker arenas)
+  // must be exactly what its case flies alone, with the mission's own
+  // engine and arena. This covers swarm_crossing's movers, which the grid
+  // cases below do not.
+  const scenario::FleetResult pooled = runFleet(4);
   // The pooled engine actually served the fleet's governor decisions...
   EXPECT_GT(pooled.engine.decisions, 0u);
+  ASSERT_EQ(pooled.rows.size(), 4u);
   // ...without changing a single mission bit.
-  EXPECT_TRUE(scenario::fleetResultsIdentical(pooled, isolated));
+  for (std::size_t i = 0; i < pooled.rows.size(); ++i) {
+    const scenario::MissionCase& c = pooled.cases[i];
+    const runtime::MissionResult alone =
+        runtime::runMission(env::generateEnvironment(c.env), c.design, c.config);
+    EXPECT_TRUE(runtime::missionResultsIdentical(pooled.rows[i].result, alone))
+        << c.scenario << " / " << c.label;
+  }
 }
 
 TEST(FleetSchedulerTest, GridCasesMatchDirectRunMission) {

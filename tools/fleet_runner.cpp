@@ -3,22 +3,21 @@
 // Loads a workload — a scenario catalog file, the built-in demo catalog
 // covering every registered generator family, or the paper's evaluation grid
 // (--grid) — admits it into a scenario::FleetScheduler, and serves every
-// case across a worker pool with the pooled DecisionEngine memo +
-// per-worker PlannerArenas.
+// case across a worker pool (one ticket queue over --threads workers) with
+// the pooled DecisionEngine memo + per-worker PlannerArenas.
 //
 // Output contract (see src/scenario/fleet_report.h):
 //   --out         deterministic result JSON — byte-identical for any
-//                 --threads value and either --mode on the same workload
-//   --bench-json  this run's measurements (missions/s, dispatch shape,
+//                 --threads value on the same workload
+//   --bench-json  this run's measurements (missions/s, thread count,
 //                 shared-engine memo hit-rate across tenants, stage wall
 //                 histograms, per-epoch staleness, per-case walls)
 //
 // Usage:
 //   fleet_runner [--catalog file | --grid smoke|small|paper [--max-envs N]]
 //                [--seed N] [--scale F] [--missions N]
-//                [--threads N] [--mode sync|async] [--pipeline sync|async]
-//                [--config smoke|test|default]
-//                [--retries N] [--no-share-engine]
+//                [--threads N] [--pipeline sync|async]
+//                [--config smoke|test|default] [--retries N]
 //                [--out results.json] [--bench-json perf.json]
 //                [--list-families] [--print-catalog] [--quiet]
 //
@@ -60,11 +59,9 @@ struct Options {
   double scale = 0.5;        ///< built-in catalog geometric scale
   std::size_t missions = 2;  ///< cases per built-in scenario / seeds per grid cell
   unsigned threads = std::thread::hardware_concurrency();
-  scenario::DispatchMode mode = scenario::DispatchMode::Async;
   runtime::ExecutionMode pipeline = runtime::ExecutionMode::Sync;
   std::string config = "test";
   std::size_t retries = 1;
-  bool share_engine = true;
   std::string out_path;
   std::string bench_json_path;
   std::string trace_out_path;  ///< empty = span tracing off (zero overhead)
@@ -78,9 +75,8 @@ struct Options {
 void usage(std::ostream& os) {
   os << "usage: fleet_runner [--catalog file | --grid smoke|small|paper [--max-envs N]]\n"
         "                    [--seed N] [--scale F] [--missions N]\n"
-        "                    [--threads N] [--mode sync|async] [--pipeline sync|async]\n"
+        "                    [--threads N] [--pipeline sync|async]\n"
         "                    [--config smoke|test|default] [--retries N]\n"
-        "                    [--no-share-engine]\n"
         "                    [--out results.json] [--bench-json perf.json]\n"
         "                    [--trace-out trace.json]\n"
         "                    [--store DIR] [--store-readonly]\n"
@@ -88,7 +84,7 @@ void usage(std::ostream& os) {
         "\n"
         "Without --catalog, serves the built-in demo catalog (one scenario per\n"
         "registered family; --seed/--scale/--missions shape it). The --out JSON\n"
-        "is deterministic: byte-identical for any --threads and either --mode.\n"
+        "is deterministic: byte-identical for any --threads.\n"
         "\n"
         "--grid serves the paper's evaluation grid instead (env/suite.h: smoke is\n"
         "one short cell, small the shrunken 27-env grid, paper Fig. 8a itself):\n"
@@ -99,8 +95,8 @@ void usage(std::ostream& os) {
         "extra attempts (default 1) before landing in the report's failures\n"
         "array; the exit code is the failure count (capped at 100).\n"
         "\n"
-        "--mode picks the FLEET dispatch shape (how missions are scheduled\n"
-        "across workers); --pipeline picks the INTRA-MISSION execution mode:\n"
+        "--threads workers pull cases from one queue, all deciding through one\n"
+        "shared engine memo. --pipeline picks the INTRA-MISSION execution mode:\n"
         "sync (the bitwise-replayable anchor, default) or async (the\n"
         "pipelined executor — deterministic, but its mission numbers differ\n"
         "from sync, so the --out document carries the mode). A catalog line\n"
@@ -188,12 +184,6 @@ bool parseArgs(int argc, char** argv, Options& opts) {
       std::size_t threads = 0;
       if (v == nullptr || !parseCount("--threads", v, threads, 4096)) return false;
       opts.threads = static_cast<unsigned>(threads);
-    } else if (arg == "--mode") {
-      const char* v = next("--mode");
-      if (v == nullptr || !scenario::parseDispatchMode(v, opts.mode)) {
-        std::cerr << "fleet_runner: --mode must be sync or async\n";
-        return false;
-      }
     } else if (arg == "--pipeline") {
       const char* v = next("--pipeline");
       if (v == nullptr || !runtime::parseExecutionMode(v, opts.pipeline)) {
@@ -207,8 +197,6 @@ bool parseArgs(int argc, char** argv, Options& opts) {
     } else if (arg == "--retries") {
       const char* v = next("--retries");
       if (v == nullptr || !parseCount("--retries", v, opts.retries, 16)) return false;
-    } else if (arg == "--no-share-engine") {
-      opts.share_engine = false;
     } else if (arg == "--out") {
       const char* v = next("--out");
       if (v == nullptr) return false;
@@ -324,8 +312,6 @@ int main(int argc, char** argv) {
 
   scenario::FleetConfig fleet_config;
   fleet_config.threads = opts.threads;
-  fleet_config.mode = opts.mode;
-  fleet_config.share_engine = opts.share_engine;
   fleet_config.retry_limit = opts.retries;
 
   // The store key is the case's describeCases() bit pattern, which does not
@@ -365,8 +351,7 @@ int main(int argc, char** argv) {
   if (!opts.quiet) {
     std::cerr << "fleet_runner: " << scheduler.cases().size() << " missions in "
               << scheduler.scenarios().size() << " shards (" << catalog_label << ") on "
-              << opts.threads << " thread(s), " << scenario::dispatchModeName(opts.mode)
-              << " dispatch, "
+              << opts.threads << " thread(s), "
               << runtime::executionModeName(opts.pipeline) << " pipeline\n";
   }
 
@@ -389,14 +374,11 @@ int main(int argc, char** argv) {
          << " s (" << result.missions_per_sec << " missions/s), " << reached
          << " reached goal";
     if (failures > 0) line << ", " << failures << " quarantined";
-    if (result.engine_shared) {
-      line.precision(1);
-      line << "; engine memo hit-rate " << 100.0 * result.engine.solverMemoHitRate()
-           << "% across tenants";
-    }
+    line.precision(1);
+    line << "; engine memo hit-rate " << 100.0 * result.engine.solverMemoHitRate()
+         << "% across tenants";
     if (result.store_enabled) {
       const store::StoreStats& s = result.store;
-      line.precision(1);
       line << "; result store " << s.hits() << " hit(s) / " << s.misses << " miss(es) ("
            << 100.0 * s.hitRate() << "%), " << s.inserts << " inserted";
       if (s.corrupt_rejected > 0)
