@@ -1,10 +1,10 @@
-// Shared plumbing for the experiment benches.
+// Plumbing for paper_report, the experiment bench.
 //
-// Every bench prints "paper vs measured" rows, so its raw stdout is the
-// comparison table, and writes raw series as CSV into ./bench_out/ under
-// the working directory. Mission-level benches run at a reduced scale by
-// default so the whole suite finishes in minutes; set ROBORUN_FULL=1 for
-// the paper-scale protocol (full goal distances / spreads).
+// It prints "paper vs measured" rows, so its raw stdout is the comparison
+// table, and writes raw series as CSV into ./bench_out/ under the working
+// directory. Its missions run at a reduced scale by default so the report
+// finishes in minutes; set ROBORUN_FULL=1 for the paper-scale protocol
+// (full goal distances / spreads).
 #pragma once
 
 #include <algorithm>

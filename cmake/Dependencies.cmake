@@ -2,9 +2,6 @@
 #
 # GoogleTest: system package first (the CI container pre-installs
 # libgtest-dev), pinned FetchContent as the network fallback.
-#
-# google-benchmark: system package or nothing — only the kernel microbench
-# wants it, and it is too heavy to fetch for one target.
 
 if(ROBORUN_BUILD_TESTS)
   find_package(GTest QUIET)
@@ -20,8 +17,4 @@ if(ROBORUN_BUILD_TESTS)
     set(BUILD_GMOCK OFF CACHE BOOL "" FORCE)
     FetchContent_MakeAvailable(googletest)
   endif()
-endif()
-
-if(ROBORUN_BUILD_BENCHES)
-  find_package(benchmark QUIET)
 endif()

@@ -1,12 +1,11 @@
 // Lattice A* planner — the deterministic alternative to RRT*.
 //
 // The paper picks OMPL's RRT* "due to its asymptotic optimality"; this
-// planner exists to make that design choice examinable (see
-// bench_ablation_planner): grid A* is complete and optimal *on its lattice*
-// and fully deterministic, but its work scales with the volume of the
-// searched lattice rather than with the sampled tree, and its paths hug the
-// lattice. Useful as a drop-in comparator and as a fallback for callers
-// that need determinism without a seed.
+// planner is the one behind PlannerMode::AStar (the pipelined_astar
+// workload flies it). Grid A* is complete and optimal *on its lattice* and
+// fully deterministic, but its work scales with the volume of the searched
+// lattice rather than with the sampled tree, and its paths hug the
+// lattice.
 //
 // The search core runs over a PlannerArena (planner_arena.h): node
 // bookkeeping lives in a generation-stamped contiguous pool keyed by packed

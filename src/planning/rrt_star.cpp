@@ -120,41 +120,6 @@ class ExploredVolume {
   double inv_cell_;
 };
 
-/// Uniform sampler over the prolate hyperspheroid with foci `start`/`goal`
-/// and transverse diameter `c_best` (the informed subset of Informed RRT*).
-/// Degenerate spheroids (c_best ~ c_min) collapse to the focal segment.
-class InformedSampler {
- public:
-  InformedSampler(const Vec3& start, const Vec3& goal)
-      : center_((start + goal) * 0.5), c_min_(start.dist(goal)) {
-    // Orthonormal basis whose first axis is the focal line.
-    a1_ = (goal - start).normalized();
-    if (a1_.norm2() < 0.5) a1_ = {1.0, 0.0, 0.0};  // coincident foci
-    const Vec3 helper = std::fabs(a1_.x) < 0.9 ? Vec3{1, 0, 0} : Vec3{0, 1, 0};
-    a2_ = a1_.cross(helper).normalized();
-    a3_ = a1_.cross(a2_);
-  }
-
-  Vec3 sample(double c_best, geom::Rng& rng) const {
-    const double transverse = std::max(c_best, c_min_) * 0.5;
-    const double conjugate =
-        0.5 * std::sqrt(std::max(0.0, c_best * c_best - c_min_ * c_min_));
-    // Uniform point in the unit ball (direction x radius^(1/3)).
-    Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
-    dir = dir.normalized();
-    const double radius = std::cbrt(rng.uniform());
-    const Vec3 ball = dir * radius;
-    // Stretch along the basis and recenter.
-    return center_ + a1_ * (ball.x * transverse) + a2_ * (ball.y * conjugate) +
-           a3_ * (ball.z * conjugate);
-  }
-
- private:
-  Vec3 center_;
-  double c_min_;
-  Vec3 a1_, a2_, a3_;
-};
-
 std::vector<Vec3> extractPath(const std::vector<TreeNode>& nodes, std::size_t leaf) {
   std::vector<Vec3> path;
   for (std::size_t id = leaf; id != SIZE_MAX; id = nodes[id].parent)
@@ -207,7 +172,6 @@ RrtResult planPath(const perception::PlannerMap& map, const Vec3& start, const V
   std::vector<std::size_t>& nearby = arena.rrtNearby();
   nearby.clear();
   std::size_t iters_since_found = 0;
-  const InformedSampler informed(start, goal);
 
   while (report.iterations < params.max_iterations) {
     ++report.iterations;
@@ -222,12 +186,7 @@ RrtResult planPath(const perception::PlannerMap& map, const Vec3& start, const V
 
     Vec3 target;
     const double draw = rng.uniform();
-    if (params.informed && goal_node != SIZE_MAX) {
-      // Refinement under a known solution: only the informed subset can
-      // still improve the path.
-      target = params.bounds.clamp(informed.sample(goal_cost, rng));
-      ++report.informed_samples;
-    } else if (draw < params.goal_bias) {
+    if (draw < params.goal_bias) {
       target = goal;
     } else if (draw < params.goal_bias + params.line_bias) {
       // Corridor-informed sample: a point along the start-goal line with

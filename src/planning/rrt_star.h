@@ -37,12 +37,6 @@ struct RrtParams {
   double check_precision = 0.3;      ///< m; collision ray march step (knob p2)
   double goal_tolerance = 3.0;       ///< m; success radius around the goal
   std::size_t refine_iterations = 200;  ///< extra rewiring after first success
-  /// Informed RRT* (Gammell et al., the paper's ref [6]): once a solution
-  /// exists, restrict samples to the prolate hyperspheroid with foci at
-  /// start/goal and transverse diameter equal to the best cost so far --
-  /// points outside it provably cannot improve the path, so refinement
-  /// converges faster for the same iteration budget.
-  bool informed = false;
   /// Minimum progress (m closer to the goal than the start) for a partial
   /// path to count as usable when the goal itself is not reached. <= 0
   /// disables partial results.
@@ -57,7 +51,6 @@ struct RrtReport {
   bool partial = false;              ///< the path makes progress but does not
                                      ///< reach the goal (best-effort recovery)
   bool volume_exhausted = false;     ///< stopped by the volume operator
-  std::size_t informed_samples = 0;  ///< draws taken from the informed set
   double path_cost = 0.0;            ///< m; tree cost of the returned path
 };
 

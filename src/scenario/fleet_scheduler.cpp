@@ -82,16 +82,22 @@ std::size_t FleetScheduler::admitAll(const std::vector<ScenarioSpec>& specs) {
   return admitted;
 }
 
+unsigned FleetScheduler::workers() const {
+  return static_cast<unsigned>(std::max<std::size_t>(
+      1, std::min<std::size_t>(config_.threads, cases_.size())));
+}
+
 FleetResult FleetScheduler::run() {
+  const unsigned threads = workers();
   FleetResult out;
   out.cases = cases_;
-  out.threads = config_.threads;
+  out.threads = threads;
   out.pipeline = base_.pipeline.execution;
   out.rows.resize(cases_.size());
 
   // Shared governor core: calibrated once from the base config, pooled
-  // across every tenant that can legally use it (engine_shareable cases
-  // running the Exhaustive solver — see MissionConfig::shared_engine).
+  // across every engine_shareable case (runMission installs it only under
+  // the Exhaustive solver — see MissionConfig::shared_engine).
   core::DecisionEngine::Config engine_config;
   engine_config.knobs = base_.knobs;
   engine_config.budgeter = base_.budgeter;
@@ -106,9 +112,6 @@ FleetResult FleetScheduler::run() {
   const std::shared_ptr<core::DecisionEngine> engine = core::DecisionEngine::calibrated(
       sim::LatencyModel(base_.pipeline.latency), engine_config);
 
-  const unsigned threads = static_cast<unsigned>(
-      std::max<std::size_t>(1, std::min<std::size_t>(config_.threads,
-                                                     std::max<std::size_t>(cases_.size(), 1))));
   // One arena per worker slot: a worker's missions run strictly
   // sequentially, so the (unsynchronized) arena is never lent to two live
   // pipelines at once.
@@ -152,8 +155,7 @@ FleetResult FleetScheduler::run() {
       }
     }
     runtime::MissionConfig config = c.config;
-    if (c.engine_shareable && config.solver_strategy == core::StrategyType::Exhaustive)
-      config.shared_engine = engine;
+    if (c.engine_shareable) config.shared_engine = engine;
     config.pipeline.shared_arena = arenas[worker].get();
     // Thread the recorder into the tenant pipeline: the mission loop's
     // capture/govern/fly spans and the pipeline's integrate/plan/smooth

@@ -121,7 +121,7 @@ struct FleetResult {
   // --- measurements of this run (never deterministic) ---
   double wall_s = 0.0;
   double missions_per_sec = 0.0;
-  unsigned threads = 1;
+  unsigned threads = 1;      ///< workers run() started (FleetScheduler::workers())
   core::EngineStats engine;  ///< the shared engine's counters
   bool store_enabled = false;
   /// This run's store traffic (delta over the store's lifetime counters —
@@ -154,6 +154,10 @@ class FleetScheduler {
   const std::vector<MissionCase>& cases() const { return cases_; }
   /// Admitted scenario names, in order (the shard order of run()).
   const std::vector<std::string>& scenarios() const { return scenario_order_; }
+
+  /// Worker threads run() starts: FleetConfig::threads clamped to
+  /// [1, cases().size()].
+  unsigned workers() const;
 
   /// Run every admitted case. May be called repeatedly (each call runs the
   /// same admitted workload from scratch with a fresh engine/arena pool).

@@ -119,6 +119,17 @@ TEST(RrtStarTest, PathStartsAndEndsCorrectly) {
   EXPECT_LE(result.path.back().dist({40, 0, 2}), openParams().goal_tolerance + 1e-9);
 }
 
+TEST(RrtStarTest, DegenerateColocatedStartGoal) {
+  PlannerMap map(0.3);
+  auto params = openParams();
+  params.goal_tolerance = 0.5;
+  geom::Rng rng(7);
+  const auto result = planPath(map, {5, 5, 2}, {5, 5, 2}, params, rng);
+  ASSERT_TRUE(result.report.found);
+  EXPECT_FALSE(result.report.partial);
+  EXPECT_NEAR(result.report.path_cost, 0.0, 1e-9);
+}
+
 TEST(RrtStarTest, VolumeBudgetStopsSearch) {
   // Fully walled off: unreachable goal, tiny volume budget.
   PlannerMap map(0.3, 0.4);

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -398,6 +399,7 @@ void expectBenchJsonMatchesStructs(const scenario::FleetResult& result,
 TEST(FleetSchedulerTest, ResultsIndependentOfThreadCount) {
   const scenario::FleetResult serial = runFleet(1);
   ASSERT_EQ(serial.rows.size(), 4u);
+  EXPECT_EQ(serial.threads, 1u);
   ASSERT_GT(serial.rows[0].result.decisions(), 0u);
   EXPECT_GT(serial.engine.profile_builds, 0u);
   const std::string serial_json = fleetJson(serial);
@@ -408,6 +410,8 @@ TEST(FleetSchedulerTest, ResultsIndependentOfThreadCount) {
     const scenario::FleetResult parallel = runFleet(threads, &staleness);
     EXPECT_TRUE(scenario::fleetResultsIdentical(serial, parallel))
         << threads << " threads diverged from serial";
+    // The run reports the workers it started: never more than the cases.
+    EXPECT_EQ(parallel.threads, std::min(threads, 4u));
     // The deterministic report is byte-stable across thread counts.
     EXPECT_EQ(fleetJson(parallel), serial_json) << threads;
     // The shared engine's profile count is a pure function of the missions
@@ -436,6 +440,41 @@ TEST(FleetSchedulerTest, PooledInfrastructureMatchesPrivateMissions) {
     EXPECT_TRUE(runtime::missionResultsIdentical(pooled.rows[i].result, alone))
         << c.scenario << " / " << c.label;
   }
+}
+
+TEST(FleetSchedulerTest, UnshareableCaseKeepsItsOwnEngine) {
+  // A case that changes an engine-relevant setting (here Algorithm 1's
+  // waypoint horizon, as paper_report's horizon ablation does) clears
+  // engine_shareable: it must govern through its own engine, not through
+  // the fleet's, which is calibrated from the base config.
+  const runtime::MissionConfig base = runtime::smokeMissionConfig();
+  const std::vector<scenario::MissionCase> cases =
+      scenario::expandScenario(tinySpec("corridor_gradient", 11), base);
+  ASSERT_FALSE(cases.empty());
+  scenario::MissionCase unshared = cases.front();
+  ASSERT_EQ(unshared.design, runtime::DesignType::RoboRun);
+  unshared.config.profiler.waypoint_horizon = 1;
+  unshared.engine_shareable = false;
+
+  const env::Environment world = env::generateEnvironment(unshared.env);
+  const runtime::MissionResult alone =
+      runtime::runMission(world, unshared.design, unshared.config);
+  // The horizon changes this mission, so a lent fleet engine would show.
+  runtime::MissionConfig base_horizon = unshared.config;
+  base_horizon.profiler.waypoint_horizon = base.profiler.waypoint_horizon;
+  ASSERT_FALSE(runtime::missionResultsIdentical(
+      alone, runtime::runMission(world, unshared.design, base_horizon)));
+
+  scenario::FleetConfig config;
+  config.threads = 2;
+  scenario::FleetScheduler scheduler(base, config);
+  scheduler.admit({unshared});
+  const scenario::FleetResult fleet = scheduler.run();
+  ASSERT_EQ(fleet.rows.size(), 1u);
+  EXPECT_EQ(fleet.threads, 1u);
+  EXPECT_TRUE(runtime::missionResultsIdentical(fleet.rows[0].result, alone));
+  // The fleet engine decided nothing: the case never borrowed it.
+  EXPECT_EQ(fleet.engine.decisions, 0u);
 }
 
 TEST(FleetSchedulerTest, GridCasesMatchDirectRunMission) {

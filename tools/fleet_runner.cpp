@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
   if (!opts.quiet) {
     std::cerr << "fleet_runner: " << scheduler.cases().size() << " missions in "
               << scheduler.scenarios().size() << " shards (" << catalog_label << ") on "
-              << opts.threads << " thread(s), "
+              << scheduler.workers() << " thread(s), "
               << runtime::executionModeName(opts.pipeline) << " pipeline\n";
   }
 
