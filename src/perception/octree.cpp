@@ -582,32 +582,4 @@ std::size_t OccupancyOctree::occupiedCellCount(int level) const {
   return occupiedCells(pool_[kRootIndex], root_size_, l);
 }
 
-double OccupancyOctree::nearestOccupiedDistance(const Vec3& p, double fallback) const {
-  double best = fallback;
-  struct Frame {
-    std::uint32_t index;
-    Vec3 center;
-    double half;
-  };
-  std::vector<Frame> stack;
-  if (pool_[kRootIndex].has_occupied || pool_[kRootIndex].state == Occupancy::Occupied)
-    stack.push_back({kRootIndex, root_box_.center(), root_size_ * 0.5});
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    if (std::sqrt(distToBox2(p, f.center, f.half)) >= best) continue;
-    const Node& node = pool_[f.index];
-    if (node.isLeaf()) {
-      if (node.state == Occupancy::Occupied) best = std::sqrt(distToBox2(p, f.center, f.half));
-      continue;
-    }
-    for (int ci = 0; ci < 8; ++ci) {
-      const std::uint32_t child = node.first_child + static_cast<std::uint32_t>(ci);
-      if (!pool_[child].has_occupied) continue;  // nothing occupied beneath
-      stack.push_back({child, childCenterFor(f.center, f.half, ci), f.half * 0.5});
-    }
-  }
-  return best;
-}
-
 }  // namespace roborun::perception

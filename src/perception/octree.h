@@ -201,11 +201,6 @@ class OccupancyOctree {
   /// last reduction; otherwise only the touched paths are re-reduced).
   std::size_t occupiedCellCount(int level) const;
 
-  /// Nearest occupied voxel center to `p`, found by a best-first descent
-  /// pruned by the has_occupied bit (empty subtrees are never entered).
-  /// Returns distance, or `fallback` if the map has no occupied cell.
-  double nearestOccupiedDistance(const Vec3& p, double fallback) const;
-
   /// Pool occupancy diagnostics: live nodes (root + allocated child blocks
   /// minus the free-list) and the pool's total capacity in nodes.
   std::size_t liveNodeCount() const { return pool_.size() - 8 * free_blocks_.size(); }

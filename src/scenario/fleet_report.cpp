@@ -197,8 +197,6 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
   os << "    \"enabled\": " << (result.store_enabled ? "true" : "false") << ",\n";
   os << "    \"lookups\": " << store.lookups << ",\n";
   os << "    \"hits\": " << store.hits() << ",\n";
-  os << "    \"hits_memory\": " << store.hits_memory << ",\n";
-  os << "    \"hits_disk\": " << store.hits_disk << ",\n";
   os << "    \"misses\": " << store.misses << ",\n";
   os << "    \"hit_rate\": " << jsonNumber(store.hitRate(), 4) << ",\n";
   os << "    \"inserts\": " << store.inserts << ",\n";

@@ -1,5 +1,5 @@
-// Fleet JSON reports — shared by fleet_runner, bench_fleet_throughput and
-// the CTest smokes.
+// Fleet JSON reports — written by fleet_runner, and rendered by the tests
+// that pin their contracts.
 //
 // Two documents with two contracts:
 //

@@ -7,9 +7,9 @@
 //
 //   * one internally synchronized core::DecisionEngine shared by every
 //     tenant mission (MissionConfig::shared_engine) — the Eq. 3 solver memo
-//     warms across scenarios, the cross-tenant hit-rate is the fleet bench's
-//     headline metric; its space profiler keeps no per-tenant state, so
-//     tenants share nothing but the memo;
+//     warms across scenarios (fleet_runner --bench-json reports the
+//     cross-tenant hit-rate); its space profiler keeps no per-tenant
+//     state, so tenants share nothing but the memo;
 //   * one planning::PlannerArena per WORKER (PipelineConfig::shared_arena),
 //     so steady-state replanning stays allocation-free across the missions
 //     a worker serves back to back.

@@ -49,8 +49,6 @@ std::string StoreKey::hex() const {
 StoreStats StoreStats::minus(const StoreStats& since) const {
   StoreStats d;
   d.lookups = lookups - since.lookups;
-  d.hits_memory = hits_memory - since.hits_memory;
-  d.hits_disk = hits_disk - since.hits_disk;
   d.misses = misses - since.misses;
   d.inserts = inserts - since.inserts;
   d.reinserts = reinserts - since.reinserts;
@@ -79,23 +77,6 @@ std::string ResultStore::recordPath(const StoreKey& key) const {
 
 std::string ResultStore::narinfoPath(const StoreKey& key) const {
   return config_.dir + "/" + key.hex() + ".narinfo";
-}
-
-void ResultStore::remember(const StoreKey& key, const StoredResult& value) {
-  // caller holds mutex_
-  if (config_.memory_capacity == 0) return;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->value = value;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(MemoryEntry{key, value});
-  index_[key] = lru_.begin();
-  while (lru_.size() > config_.memory_capacity) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
 }
 
 bool ResultStore::readRecord(const StoreKey& key, StoredResult& out) {
@@ -163,17 +144,8 @@ bool ResultStore::readRecord(const StoreKey& key, StoredResult& out) {
 std::optional<StoredResult> ResultStore::lookup(const StoreKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.lookups;
-  if (const auto it = index_.find(key); it != index_.end()) {
-    ++stats_.hits_memory;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->value;
-  }
   StoredResult value;
-  if (readRecord(key, value)) {
-    ++stats_.hits_disk;
-    remember(key, value);
-    return value;
-  }
+  if (readRecord(key, value)) return value;
   ++stats_.misses;
   return std::nullopt;
 }
@@ -181,7 +153,6 @@ std::optional<StoredResult> ResultStore::lookup(const StoreKey& key) {
 bool ResultStore::insert(const StoreKey& key, const StoredResult& value,
                          std::size_t case_description_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  remember(key, value);
   if (config_.readonly) {
     ++stats_.readonly_skips;
     return true;

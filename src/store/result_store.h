@@ -22,14 +22,14 @@
 //                            the key), payload byte length + FNV checksum
 //   <dir>/<keyhex>.result    the binary payload
 //
-// An in-memory LRU front (Config::memory_capacity entries) serves repeat
-// lookups without touching the filesystem.
+// The record files are the store's only tier: every lookup reads them, so
+// a result inserted earlier in the same process is served from disk too.
 //
 // Contracts:
 //   * a store hit is bit-identical to running the mission, so a warm-store
-//     fleet run emits a byte-identical --out report to a cold one — across
-//     thread counts and sync/async dispatch (store hits are dispatch-order
-//     independent by construction; pinned by result_store_test);
+//     fleet run emits a byte-identical --out report to a cold one at any
+//     thread count (a hit does not depend on dispatch order; pinned by
+//     result_store_test at 1, 4 and 16 threads);
 //   * bumping the version stamp changes every key — the invalidation
 //     discipline for engine/config changes that alter mission results;
 //   * a corrupt or truncated record is NEVER an error: lookup reports a
@@ -44,12 +44,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "store/mission_serde.h"
@@ -85,9 +83,7 @@ struct StoreKey {
 /// Store traffic counters, read directly by fleet reports and benches (a
 /// plain struct is the whole stats API).
 struct StoreStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits_memory = 0;    ///< served from the LRU front
-  std::uint64_t hits_disk = 0;      ///< decoded from a record file
+  std::uint64_t lookups = 0;        ///< every lookup is a hit or a miss
   std::uint64_t misses = 0;         ///< no record (or rejected record)
   std::uint64_t inserts = 0;        ///< records written to disk
   std::uint64_t reinserts = 0;      ///< key already stored; write skipped
@@ -95,7 +91,8 @@ struct StoreStats {
   std::uint64_t insert_failures = 0;///< I/O errors while writing
   std::uint64_t corrupt_rejected = 0;  ///< bad narinfo/payload treated as miss
 
-  std::uint64_t hits() const { return hits_memory + hits_disk; }
+  /// Lookups decoded from a record file.
+  std::uint64_t hits() const { return lookups - misses; }
   double hitRate() const {
     return lookups == 0 ? 0.0 : static_cast<double>(hits()) / static_cast<double>(lookups);
   }
@@ -109,7 +106,6 @@ class ResultStore {
     std::string dir;           ///< record directory (created on demand)
     std::string version;       ///< engine/config version stamp (keys it)
     bool readonly = false;     ///< serve lookups, never write records
-    std::size_t memory_capacity = 256;  ///< LRU front entries (0 = off)
   };
 
   explicit ResultStore(Config config);
@@ -123,10 +119,10 @@ class ResultStore {
   /// truncated record — never throws).
   std::optional<StoredResult> lookup(const StoreKey& key);
 
-  /// Persist a result (and refresh the LRU front). Readonly stores still
-  /// cache in memory — serving repeats within the process cannot violate
-  /// readonly's "never write files" promise. Returns false only on I/O
-  /// failure.
+  /// Persist a result. A readonly store skips the write (counted in
+  /// StoreStats::readonly_skips), so a later lookup of the key misses
+  /// unless a record was already on disk.
+  /// Returns false only on I/O failure.
   bool insert(const StoreKey& key, const StoredResult& value,
               std::size_t case_description_bytes = 0);
 
@@ -135,26 +131,17 @@ class ResultStore {
 
  private:
   bool readRecord(const StoreKey& key, StoredResult& out);
-  void remember(const StoreKey& key, const StoredResult& value);
   std::string recordPath(const StoreKey& key) const;
   std::string narinfoPath(const StoreKey& key) const;
 
   Config config_;
   mutable std::mutex mutex_;
   StoreStats stats_;
-  // LRU front: most recent at the list head; map values point into the
-  // list. Sized by Config::memory_capacity.
-  struct MemoryEntry {
-    StoreKey key;
-    StoredResult value;
-  };
-  std::list<MemoryEntry> lru_;
   struct KeyHash {
     std::size_t operator()(const StoreKey& k) const {
       return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));
     }
   };
-  std::unordered_map<StoreKey, std::list<MemoryEntry>::iterator, KeyHash> index_;
   // Keys whose on-disk record this instance rejected as corrupt: the one
   // case where insert overwrites an existing record instead of trusting
   // first-writer-wins (content-addressing makes healthy records immutable,

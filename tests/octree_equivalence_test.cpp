@@ -2,10 +2,10 @@
 // against the frozen seed implementation (tests/reference_octree.h) and the
 // pooled Morton-keyed tree, and demand identical observable behavior —
 // occupancy answers, stats, coarsening/collection output (including order),
-// cached per-level occupied counts, the sphere-culled collection, and
-// nearest-occupied distances — and the fused ray walk against the keyed
-// batch it replaces in the kernel. This is the contract that let the pool
-// refactor land without perturbing a single MissionResult bit.
+// cached per-level occupied counts and the sphere-culled collection — and
+// the fused ray walk against the keyed batch it replaces in the kernel.
+// This is the contract that let the pool refactor land without perturbing
+// a single MissionResult bit.
 //
 // Registered under tier2; run it with -DROBORUN_SANITIZE=address;undefined
 // to also exercise the pool's block recycling under ASan/UBSan.
@@ -146,14 +146,13 @@ void expectEquivalent(const OccupancyOctree& pooled, const reference::ReferenceO
       }
   EXPECT_EQ(query_mismatches, 0u);
 
-  // Random coarse views and nearest-occupied probes.
+  // Random coarse views.
   for (int trial = 0; trial < 200; ++trial) {
     const Vec3 p = rng.uniformInBox({-kHalf - 1.0, -kHalf - 1.0, -kHalf - 1.0},
                                     {kHalf + 1.0, kHalf + 1.0, kHalf + 1.0});
     const int level = rng.uniformInt(0, max_level);
     EXPECT_EQ(pooled.queryAtLevel(p, level), ref.queryAtLevel(p, level))
         << "queryAtLevel mismatch at level " << level;
-    EXPECT_EQ(pooled.nearestOccupiedDistance(p, 99.0), ref.nearestOccupiedDistance(p, 99.0));
   }
 
   // Coarsened occupied collection: same voxels, same order, same bits.

@@ -156,14 +156,6 @@ TEST(OctreeTest, CollectOccupiedPassesThroughCoarseLeaves) {
   EXPECT_NEAR(voxels[0].size, 4.8, 1e-9);  // big box passes through whole
 }
 
-TEST(OctreeTest, NearestOccupiedDistance) {
-  auto tree = makeTree();
-  EXPECT_DOUBLE_EQ(tree.nearestOccupiedDistance({0, 0, 0}, 42.0), 42.0);
-  tree.updateCell({5.0, 0.0, 0.0}, 0, Occupancy::Occupied);
-  const double d = tree.nearestOccupiedDistance({0, 0, 0}, 42.0);
-  EXPECT_NEAR(d, 5.0, 0.35);  // within a voxel of the true distance
-}
-
 TEST(OctreeTest, VoxelBoxGeometry) {
   const VoxelBox v{{1, 2, 3}, 2.0};
   EXPECT_DOUBLE_EQ(v.volume(), 8.0);

@@ -238,7 +238,7 @@ TEST(SerdeTest, RejectsStructurallyCorruptPayloads) {
 // ---------------------------------------------------------------------------
 // Store mechanics
 
-TEST(ResultStoreTest, InsertThenLookupServesMemoryThenDisk) {
+TEST(ResultStoreTest, InsertThenLookupServesDisk) {
   ScratchDir dir("mechanics");
   const std::string desc = "one case";
   const store::StoredResult value = syntheticStored();
@@ -247,6 +247,7 @@ TEST(ResultStoreTest, InsertThenLookupServesMemoryThenDisk) {
     const store::StoreKey key = writer.keyFor(desc);
     EXPECT_FALSE(writer.lookup(key).has_value());
     ASSERT_TRUE(writer.insert(key, value, desc.size()));
+    // The record file is the only tier: the same process reads it back.
     const auto hit = writer.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->attempts, value.attempts);
@@ -254,7 +255,7 @@ TEST(ResultStoreTest, InsertThenLookupServesMemoryThenDisk) {
     const store::StoreStats s = writer.stats();
     EXPECT_EQ(s.lookups, 2u);
     EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits_memory, 1u);  // the LRU front, no file I/O
+    EXPECT_EQ(s.hits(), 1u);
     EXPECT_EQ(s.inserts, 1u);
   }
   // A fresh store instance on the same directory decodes the record file.
@@ -263,7 +264,7 @@ TEST(ResultStoreTest, InsertThenLookupServesMemoryThenDisk) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->result.status, value.result.status);
   EXPECT_DOUBLE_EQ(hit->result.mission_time, value.result.mission_time);
-  EXPECT_EQ(reader.stats().hits_disk, 1u);
+  EXPECT_EQ(reader.stats().hits(), 1u);
 }
 
 TEST(ResultStoreTest, CorruptRecordsAreMissesNeverErrors) {
@@ -318,13 +319,11 @@ TEST(ResultStoreTest, ReadonlyStoreNeverWritesFiles) {
   EXPECT_TRUE(ro.insert(key, syntheticStored()));  // not an I/O failure
   EXPECT_EQ(ro.stats().readonly_skips, 1u);
   EXPECT_EQ(ro.stats().inserts, 0u);
-  EXPECT_FALSE(fs::exists(dir.path));  // not even the directory is created
-  // The in-process LRU front still serves the repeat (readonly promises
-  // "never write files", not "never remember").
-  EXPECT_TRUE(ro.lookup(key).has_value());
-  // A fresh readonly store sees nothing on disk.
-  store::ResultStore fresh = makeStore(dir, "v", /*readonly=*/true);
-  EXPECT_FALSE(fresh.lookup(key).has_value());
+  // Nothing was written, so the lookup misses, and the lookup creates no
+  // directory either.
+  EXPECT_FALSE(ro.lookup(key).has_value());
+  EXPECT_EQ(ro.stats().misses, 1u);
+  EXPECT_FALSE(fs::exists(dir.path));
 }
 
 // ---------------------------------------------------------------------------
@@ -357,8 +356,7 @@ TEST(FleetStoreTest, CorruptRecordFallsBackToRunningTheMission) {
   const std::string cold_report =
       renderReport(runFleet(catalog, 2, &store));
 
-  // Damage one record file, then warm-run through a fresh store instance
-  // (the first store still holds every result in its LRU front).
+  // Damage one record file, then warm-run through the same store.
   fs::path victim;
   for (const auto& entry : fs::directory_iterator(dir.path))
     if (entry.path().extension() == ".result") victim = entry.path();
@@ -368,9 +366,7 @@ TEST(FleetStoreTest, CorruptRecordFallsBackToRunningTheMission) {
     f.seekp(12);
     f.put('\xcd');
   }
-  store::ResultStore reopened = makeStore(dir, store::defaultVersionStamp("smoke"));
-  const scenario::FleetResult warm =
-      runFleet(catalog, 2, &reopened);
+  const scenario::FleetResult warm = runFleet(catalog, 2, &store);
   // The damaged case re-ran and was re-inserted; the report is still byte-
   // identical to cold — corruption costs time, never correctness.
   EXPECT_EQ(warm.store.corrupt_rejected, 1u);

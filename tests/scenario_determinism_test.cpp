@@ -349,8 +349,6 @@ void expectBenchJsonMatchesStructs(const scenario::FleetResult& result,
   EXPECT_EQ(store->find("enabled")->boolean, result.store_enabled);
   EXPECT_EQ(store->numberAt("lookups", -1), s.lookups);
   EXPECT_EQ(store->numberAt("hits", -1), s.hits());
-  EXPECT_EQ(store->numberAt("hits_memory", -1), s.hits_memory);
-  EXPECT_EQ(store->numberAt("hits_disk", -1), s.hits_disk);
   EXPECT_EQ(store->numberAt("misses", -1), s.misses);
   EXPECT_EQ(store->numberAt("hit_rate", -1), printed(s.hitRate(), 4));
   EXPECT_EQ(store->numberAt("inserts", -1), s.inserts);
