@@ -4,21 +4,19 @@
 // Section 1 (governor core) replays one identical mission-shaped decision
 // schedule — three congestion zones, a pool of distinct space profiles per
 // zone, revisited many times as the vehicle re-encounters similar spatial
-// situations — through three Eq. 3 paths:
+// situations — through two Eq. 3 paths:
 //
 //   reference_governor  the frozen seed budgeter + exhaustive solver
 //                       (tests/reference_governor.h)
-//   engine_enumerate    core::DecisionEngine with the solver memo disabled
-//                       (every decision runs GovernorSolver::pick, the
-//                       same loop as the frozen reference)
-//   engine_memoized     the full DecisionEngine (adds the generation-
-//                       stamped solver memo win)
+//   engine_enumerate    core::DecisionEngine (every decision runs
+//                       GovernorSolver::pick, the same loop as the frozen
+//                       reference)
 //
 // Section 2 (sensor path) replays a flown schedule — sensor frames, a live
 // octree accreting sweeps, hover phases — through the seed composition
 // (core::profileSpace + frozen governor) and through
 // DecisionEngine::decideFromSensors (the same profileSpace call plus the
-// memoized solve).
+// engine's solve).
 //
 // Every variant must produce bit-identical decisions (and profiles) at
 // every step — the bench exits nonzero if they diverge, so a perf number
@@ -72,8 +70,8 @@ bool decisionsIdentical(const GovernorDecision& a, const GovernorDecision& b) {
 }
 
 /// Zone-shaped random profile (open / mid / congested): the operating
-/// regimes of the paper's Fig. 9 map, which is what makes revisits — and
-/// therefore memo hits — the realistic traffic pattern.
+/// regimes of the paper's Fig. 9 map, which is what makes revisits the
+/// realistic traffic pattern.
 SpaceProfile zoneProfile(int zone, Rng& rng) {
   SpaceProfile p;
   if (zone == 0) {  // open
@@ -177,8 +175,6 @@ int main(int argc, char** argv) {
 
   double ref_s = 1e100;
   double enum_s = 1e100;
-  double memo_s = 1e100;
-  std::uint64_t memo_hits = 0;
   for (int rep = 0; rep < reps; ++rep) {
     {
       core::reference::RoboRunGovernor ref(knobs, budgeter, predictor, knobs.fixed_overhead);
@@ -190,21 +186,10 @@ int main(int argc, char** argv) {
       DecisionEngine::Config config;
       config.knobs = knobs;
       config.budgeter = budgeter;
-      config.solver_memo_capacity = 0;  // every decision enumerates
       DecisionEngine engine(config, predictor);
       enum_s = std::min(enum_s, timeIt([&] {
         for (std::size_t s = 0; s < decisions; ++s) check(engine.decide(pool[schedule[s]]), s);
       }));
-    }
-    {
-      DecisionEngine::Config config;
-      config.knobs = knobs;
-      config.budgeter = budgeter;
-      DecisionEngine engine(config, predictor);
-      memo_s = std::min(memo_s, timeIt([&] {
-        for (std::size_t s = 0; s < decisions; ++s) check(engine.decide(pool[schedule[s]]), s);
-      }));
-      memo_hits = engine.stats().solver_memo_hits;
     }
   }
 
@@ -343,7 +328,6 @@ int main(int argc, char** argv) {
     return s > 0.0 ? static_cast<double>(n) / s : 0.0;
   };
   const double speedup_enum = enum_s > 0.0 ? ref_s / enum_s : 0.0;
-  const double speedup_memo = memo_s > 0.0 ? ref_s / memo_s : 0.0;
   const double speedup_sensor = sensor_engine_s > 0.0 ? sensor_ref_s / sensor_engine_s : 0.0;
 
   std::cerr << "governor throughput (" << (smoke ? "smoke" : "full") << ": " << decisions
@@ -352,16 +336,13 @@ int main(int argc, char** argv) {
             << " decisions/s\n"
             << "  engine_enumerate:   " << jsonNumber(per_sec(decisions, enum_s), 1)
             << " decisions/s  (" << jsonNumber(speedup_enum, 2) << "x)\n"
-            << "  engine_memoized:    " << jsonNumber(per_sec(decisions, memo_s), 1)
-            << " decisions/s  (" << jsonNumber(speedup_memo, 2) << "x, " << memo_hits << "/"
-            << decisions << " memo hits)\n"
             << "  sensor path:        " << jsonNumber(per_sec(epochs, sensor_ref_s), 1)
             << " -> " << jsonNumber(per_sec(epochs, sensor_engine_s), 1) << " decisions/s  ("
             << jsonNumber(speedup_sensor, 2) << "x)\n";
 
   std::ostringstream json;
   json << "{\n";
-  json << "  \"schema\": \"roborun-governor-throughput-v1\",\n";
+  json << "  \"schema\": \"roborun-governor-throughput-v2\",\n";
   json << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   json << "  \"workload\": {\"decisions\": " << decisions
        << ", \"distinct_profiles\": " << pool.size() << ", \"revisits\": " << revisits
@@ -372,18 +353,13 @@ int main(int argc, char** argv) {
        << ", \"decisions_per_sec\": " << jsonNumber(per_sec(decisions, ref_s), 1) << "},\n";
   json << "    \"engine_enumerate\": {\"seconds\": " << jsonNumber(enum_s)
        << ", \"decisions\": " << decisions
-       << ", \"decisions_per_sec\": " << jsonNumber(per_sec(decisions, enum_s), 1) << "},\n";
-  json << "    \"engine_memoized\": {\"seconds\": " << jsonNumber(memo_s)
-       << ", \"decisions\": " << decisions
-       << ", \"decisions_per_sec\": " << jsonNumber(per_sec(decisions, memo_s), 1)
-       << ", \"memo_hits\": " << memo_hits << "}\n";
+       << ", \"decisions_per_sec\": " << jsonNumber(per_sec(decisions, enum_s), 1) << "}\n";
   json << "  },\n";
   json << "  \"sensor_path\": {\"epochs\": " << epochs
        << ", \"reference_seconds\": " << jsonNumber(sensor_ref_s)
        << ", \"engine_seconds\": " << jsonNumber(sensor_engine_s)
        << ", \"speedup\": " << jsonNumber(speedup_sensor, 3) << "},\n";
-  json << "  \"speedup\": {\"engine_enumerate\": " << jsonNumber(speedup_enum, 3)
-       << ", \"engine_memoized\": " << jsonNumber(speedup_memo, 3) << "},\n";
+  json << "  \"speedup\": {\"engine_enumerate\": " << jsonNumber(speedup_enum, 3) << "},\n";
   json << "  \"governors_agree\": " << (mismatches == 0 ? "true" : "false") << "\n";
   json << "}\n";
 

@@ -1,6 +1,6 @@
-// DecisionEngine — the unified, memoized governor core the mission runner
-// decides through (via runtime::NavigationPipeline; one engine per mission,
-// or one shared by a fleet's concurrent missions).
+// DecisionEngine — the unified governor core the mission runner decides
+// through (via runtime::NavigationPipeline; one engine per mission, or one
+// shared by a fleet's concurrent missions).
 //
 // It owns the full per-decision path the paper's governor runs each sensor
 // sweep:
@@ -10,40 +10,17 @@
 //
 // It is the only RoboRun governor in src/ (every RoboRun mission decides
 // through it), and it stays bit-identical to the seed implementation
-// (frozen as tests/reference_governor.h) while adding a solver memo for
-// decision-heavy traffic:
-//
-//  * Solver memoization. The exhaustive Eq. 3 enumeration
-//    (GovernorSolver::pick) is a pure function of (knob budget,
-//    KnobEnvelope): every other input reaches the solver only through those
-//    seven doubles. Picks are cached in a generation-stamped,
-//    allocation-free open-addressed table. The *quantized* key tuple picks
-//    the bucket (nearby budgets/envelopes land in the same probe window,
-//    keeping the table dense); a hit requires the stored key to match the
-//    live key BIT FOR BIT, and GovernorSolver::resultFor re-derives the
-//    feasibility flag / objective / deadline from the live inputs, on hits
-//    and misses alike. A cached answer is therefore always identical to
-//    what enumeration would have produced — quantization can only cost
-//    hits, never correctness.
+// (frozen as tests/reference_governor.h). The exhaustive solve is
+// GovernorSolver::pick over (knob budget, KnobEnvelope), then
+// GovernorSolver::resultFor; it enumerates every decision.
 //
 // Space profiling is core::profileSpace itself: every call samples from
 // scratch, so the profile is a pure function of its inputs.
 //
 // Sharing contract (the fleet shape). One engine instance may be shared by
-// any number of governor clients on any number of threads; because every
-// answer is bit-identical regardless of memo state, sharing cannot change
-// any client's decisions — it only trades warmth. Profiling keeps no state,
-// so concurrent clients never contend there; the memo is built to scale
-// instead of serialize:
-//
-//  * Sharded solver memo. The open-addressed memo table is striped across
-//    16 independently locked shards selected by key hash; concurrent
-//    decide() calls probe and insert in parallel, only colliding when their
-//    keys land in the same shard. Enumeration on a miss runs outside any
-//    lock (it is a pure function of the immutable solver), and a hit still
-//    requires the full 7x64-bit key to match exactly, so cached answers
-//    stay bit-identical to enumeration. There is no whole-engine mutex on
-//    the decide path; stats are atomic counters.
+// any number of governor clients on any number of threads. The exhaustive
+// path keeps no state and takes no lock, and profiling keeps no state, so
+// sharing cannot change any client's decisions. Stats are atomic counters.
 //
 // The engine reads no clock. Its only timing is the Govern "profile" /
 // "budget" / "solve" spans on Config::spans, which cost one branch per site
@@ -56,13 +33,10 @@
 // installation is not synchronized with in-flight decisions.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string_view>
-#include <vector>
 
 #include "core/governor.h"
 #include "core/knob_config.h"
@@ -86,13 +60,14 @@ struct EngineDecision {
   GovernorDecision decision;
 };
 
-/// Monotonic counters since construction (or the last resetStats()). A
-/// plain struct is the whole stats API: fleet reports, benches and
-/// perfbench read these fields directly.
+/// Monotonic counters since construction. A plain struct is the whole stats
+/// API: fleet reports, benches and perfbench read these fields directly.
 struct EngineStats {
   std::uint64_t decisions = 0;
+  /// Always 0: the engine keeps no solver memo. Declared only because
+  /// perfbench's stat summing and its core.memo_hit_rate still name them.
   std::uint64_t solver_memo_hits = 0;
-  std::uint64_t solver_memo_misses = 0;  ///< exhaustive enumerations run
+  std::uint64_t solver_memo_misses = 0;
   std::uint64_t strategy_decisions = 0;  ///< routed to a pluggable strategy
   std::uint64_t profile_builds = 0;  ///< trajectory sample passes run
   /// Always 0: every profile is sampled from scratch. Declared only because
@@ -105,17 +80,9 @@ struct EngineStats {
   double budget_wall_ms = 0.0;
   double solve_wall_ms = 0.0;
 
-  /// Memo hits per Eq. 3 solve (0 when no solver decisions ran). On a
-  /// fleet-shared engine this is the cross-tenant warmth metric: which hits
-  /// land is scheduling-dependent, so treat it as a measurement — like wall
-  /// time, never part of the deterministic replay contract. (profile_builds,
-  /// by contrast, IS schedule-independent: one per profile of a trajectory
-  /// with at least two points.)
-  double solverMemoHitRate() const {
-    const std::uint64_t solved = solver_memo_hits + solver_memo_misses;
-    return solved == 0 ? 0.0 : static_cast<double>(solver_memo_hits) /
-                                   static_cast<double>(solved);
-  }
+  /// Always 0 (see solver_memo_hits). Declared only because perfbench
+  /// still names it.
+  double solverMemoHitRate() const { return 0.0; }
 };
 
 class DecisionEngine {
@@ -124,10 +91,6 @@ class DecisionEngine {
     KnobConfig knobs;          ///< incl. fixed_overhead (the single source)
     BudgeterConfig budgeter;
     ProfilerConfig profiler;
-    /// Solver memo capacity (total entries across all shards; rounded up so
-    /// each shard is a power of two). 0 disables memoization — every
-    /// decision enumerates; bench ablation surface.
-    std::size_t solver_memo_capacity = 1024;
     /// Span recorder for the governor sub-stages (Govern spans with detail
     /// "profile" / "budget" / "solve"). Pure measurement channel — null
     /// (the default) costs one branch per site and nothing else, and a
@@ -145,18 +108,17 @@ class DecisionEngine {
   static std::shared_ptr<DecisionEngine> calibrated(const sim::LatencyModel& latency_model,
                                                     const Config& config);
 
-  /// The governor core: budget the profiled horizon, solve Eq. 3 (memoized
-  /// on the exhaustive path), emit the policy. Bit-identical to the frozen
-  /// reference::RoboRunGovernor::decide (tests/reference_governor.h) for
-  /// every input, with or without the memo. Thread-safe; concurrent callers
-  /// only contend per memo shard.
+  /// The governor core: budget the profiled horizon, solve Eq. 3, emit the
+  /// policy. Bit-identical to the frozen reference::RoboRunGovernor::decide
+  /// (tests/reference_governor.h) for every input. Thread-safe; the
+  /// exhaustive path takes no lock.
   GovernorDecision decide(const SpaceProfile& profile);
 
   /// Degraded-sensing fallback: the safe-envelope policy a governor pins
   /// while its sensors are blacked out — the coarsest precision the
   /// envelope admits, floor volumes (volumesAtScale(0)), and the budgeter's
   /// floor deadline, with budget_met = false so the decision reads as
-  /// degraded downstream. A pure function of (knobs, profile): no memo, no
+  /// degraded downstream. A pure function of (knobs, profile): no
   /// strategy, no state, so it is trivially thread-safe and
   /// bit-reproducible. Used by the mission runner during FaultPlan
   /// blackout epochs (the drone hovers; the pipeline keeps ticking at
@@ -180,18 +142,11 @@ class DecisionEngine {
 
   /// Route Eq. 3 through an alternative strategy (core/strategies.h), bound
   /// to this engine's predictor. Exhaustive clears back to the built-in
-  /// memoized solver. Strategy decisions bypass the memo (strategies may
-  /// carry state) and serialize on the strategy lock.
+  /// enumeration. Strategy decisions (strategies may carry state)
+  /// serialize on the strategy lock.
   void selectStrategy(StrategyType type, int patience = 3);
-  /// Forget cross-decision strategy state (start of a new mission). The
-  /// solver memo survives — entries are pure functions of their key, so
-  /// they stay valid across missions.
-  void resetStrategy();
-  /// Drop every memo entry (O(1) per shard: generation bumps).
-  void clearMemo();
 
   EngineStats stats() const;
-  void resetStats();
 
   const KnobConfig& knobs() const { return config_.knobs; }
   const TimeBudgeter& budgeter() const { return budgeter_; }
@@ -199,32 +154,6 @@ class DecisionEngine {
   double fixedOverhead() const { return config_.knobs.fixed_overhead; }
 
  private:
-  /// Memo key: the exact bit patterns of (knob_budget, envelope). Hashing
-  /// quantizes; matching never does.
-  using MemoKey = std::array<std::uint64_t, 7>;
-
-  struct MemoEntry {
-    std::uint64_t generation = 0;  ///< 0 = never written
-    MemoKey key{};
-    /// The enumeration's pick; everything else (deadline, predicted
-    /// latency, objective, budget_met) is re-derived by resultFor.
-    SolverPick pick;
-  };
-
-  /// One stripe of the solver memo: its own lock, slots and generation.
-  /// Shard choice comes from the quantized key hash's high bits, bucket
-  /// choice within the shard from the low bits, so striping is independent
-  /// of probe placement.
-  struct MemoShard {
-    mutable std::mutex mutex;
-    std::vector<MemoEntry> slots;
-    std::uint64_t generation = 1;
-    std::uint64_t mask = 0;  ///< slots - 1 (0 when memoization disabled)
-  };
-  static constexpr std::size_t kMemoShards = 16;
-
-  SolverResult solveMemoized(double budget, const SpaceProfile& profile);
-
   Config config_;
   TimeBudgeter budgeter_;
   LatencyPredictor predictor_;
@@ -236,14 +165,9 @@ class DecisionEngine {
   std::atomic<bool> has_strategy_{false};
   mutable std::mutex strategy_mutex_;
 
-  // Sharded solver memo (allocation-free after construction).
-  std::array<MemoShard, kMemoShards> memo_shards_;
-
   // Stats: lock-free counters (relaxed; read as a snapshot by stats()).
   struct AtomicStats {
     std::atomic<std::uint64_t> decisions{0};
-    std::atomic<std::uint64_t> solver_memo_hits{0};
-    std::atomic<std::uint64_t> solver_memo_misses{0};
     std::atomic<std::uint64_t> strategy_decisions{0};
     std::atomic<std::uint64_t> profile_builds{0};
   };

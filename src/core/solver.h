@@ -80,8 +80,7 @@ class GovernorSolver {
 
   /// The Eq. 3 enumeration: every (p0, p1) ladder pair the envelope admits,
   /// each with the largest volume scale that fits `knob_budget`. A pure
-  /// function of its arguments (and the immutable knobs/predictor), which
-  /// is what lets DecisionEngine memoize it on their bit patterns.
+  /// function of its arguments (and the immutable knobs/predictor).
   SolverPick pick(double knob_budget, const KnobEnvelope& env) const;
 
   /// The policy, objective and budget_met flag a pick implies for a

@@ -88,9 +88,8 @@ struct MissionConfig {
 
   /// Fleet hook: govern through this externally owned, internally
   /// synchronized DecisionEngine instead of calibrating a private one —
-  /// how a fleet scheduler pools one sharded solver memo across every
-  /// tenant mission. The engine's answers are bit-identical regardless of
-  /// memo state and its profiler keeps no state (see
+  /// how a fleet scheduler calibrates one engine for every tenant mission.
+  /// The engine's exhaustive path and its profiler keep no state (see
   /// core/decision_engine.h), so sharing cannot change any mission's
   /// result. Requirements:
   /// the engine must have been calibrated against THIS config's knobs /

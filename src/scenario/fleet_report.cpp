@@ -174,7 +174,7 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
     decisions += row.result.decisions();
   }
   os << "{\n";
-  os << "  \"schema\": \"roborun-fleet-throughput-v1\",\n";
+  os << "  \"schema\": \"roborun-fleet-throughput-v2\",\n";
   os << "  \"catalog\": \"" << jsonEscape(catalog_label) << "\",\n";
   os << "  \"threads\": " << result.threads << ",\n";
   os << "  \"pipeline\": \"" << runtime::executionModeName(result.pipeline) << "\",\n";
@@ -184,10 +184,6 @@ void writeFleetBenchJson(std::ostream& os, const FleetResult& result,
   os << "  \"missions_per_sec\": " << jsonNumber(result.missions_per_sec, 3) << ",\n";
   os << "  \"engine\": {\n";
   os << "    \"decisions\": " << engine.decisions << ",\n";
-  os << "    \"solver_memo_hits\": " << engine.solver_memo_hits << ",\n";
-  os << "    \"solver_memo_misses\": " << engine.solver_memo_misses << ",\n";
-  os << "    \"solver_memo_hit_rate\": " << jsonNumber(engine.solverMemoHitRate(), 4)
-     << ",\n";
   os << "    \"profile_builds\": " << engine.profile_builds << "\n";
   os << "  },\n";
   // Store traffic is a MEASUREMENT (which lookups hit depends on what some

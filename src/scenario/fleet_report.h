@@ -9,11 +9,10 @@
 //                        value on the same catalog — diff it freely.
 //   writeFleetBenchJson  the MEASUREMENT document: wall times, missions/s,
 //                        thread count, the FleetResult's engine and store
-//                        counters (memo hit-rate across tenants), exact
-//                        p50/p95/p99 of the per-case mission / plan /
-//                        decision walls, the epoch staleness split and
-//                        every case's walls. Varies run to run, like every
-//                        wall field in this repo.
+//                        counters, exact p50/p95/p99 of the per-case
+//                        mission / plan / decision walls, the epoch
+//                        staleness split and every case's walls. Varies
+//                        run to run, like every wall field in this repo.
 #pragma once
 
 #include <atomic>

@@ -102,10 +102,6 @@ FleetResult FleetScheduler::run() {
   engine_config.knobs = base_.knobs;
   engine_config.budgeter = base_.budgeter;
   engine_config.profiler = base_.profiler;
-  // Fleet traffic mixes many tenants' envelopes through one sharded memo;
-  // give it headroom beyond the single-vehicle default so cross-tenant
-  // reuse isn't capped by evictions.
-  engine_config.solver_memo_capacity = 4096;
   // The shared engine's governor sub-spans (profile/budget/solve) record
   // into the same fleet-level recorder as everything else.
   engine_config.spans = config_.spans;

@@ -6,10 +6,9 @@
 // the pooled infrastructure the runtime layers grew for exactly this:
 //
 //   * one internally synchronized core::DecisionEngine shared by every
-//     tenant mission (MissionConfig::shared_engine) — the Eq. 3 solver memo
-//     warms across scenarios (fleet_runner --bench-json reports the
-//     cross-tenant hit-rate); its space profiler keeps no per-tenant
-//     state, so tenants share nothing but the memo;
+//     tenant mission (MissionConfig::shared_engine), calibrated once; its
+//     exhaustive solve and space profiler keep no per-tenant state, so
+//     tenants share nothing but the calibration and the stats counters;
 //   * one planning::PlannerArena per WORKER (PipelineConfig::shared_arena),
 //     so steady-state replanning stays allocation-free across the missions
 //     a worker serves back to back.
@@ -27,8 +26,7 @@
 // land at their case index, missions are independently seeded, and the
 // shared engine/arena infrastructure answers bit-identically regardless of
 // pool state (see decision_engine.h / planner_arena.h).
-// Only the wall-time fields and the engine's memo hit/miss split (which hits
-// land where is a race) vary run to run; tools keep those out of the
+// Only the wall-time fields vary run to run; tools keep those out of the
 // deterministic report (fleet_report.h). The engine's decision and
 // profile_builds counts are schedule-independent.
 //

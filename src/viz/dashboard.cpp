@@ -141,12 +141,8 @@ bool benchNumber(const JsonValue& bench, std::string_view path, double& out) {
 void addTiles(Compositor& c, const JsonValue& bench) {
   std::vector<Tile> tiles;
   double v = 0.0;
-  if (benchNumber(bench, "fleet_throughput/engine/solver_memo_hit_rate", v))
-    tiles.push_back({fmtValue(v * 100.0, 3) + "%", "fleet solver memo hit rate"});
-  if (benchNumber(bench, "fleet_throughput/store/warm_hit_rate", v))
+  if (benchNumber(bench, "fleet_throughput/store_warm/store/hit_rate", v))
     tiles.push_back({fmtValue(v * 100.0, 3) + "%", "result store warm hit rate"});
-  if (benchNumber(bench, "governor_throughput/speedup/engine_memoized", v))
-    tiles.push_back({fmtValue(v, 3) + "x", "memoized governor vs reference"});
   if (benchNumber(bench, "mission_latency/speedup_wall", v))
     tiles.push_back({fmtValue(v, 3) + "x", "async mission wall speedup"});
   if (benchNumber(bench, "mission_suite/decisions_per_sec", v))
@@ -182,7 +178,6 @@ void addSpeedupBars(Compositor& c, const JsonValue& bench) {
       {"planning_throughput/speedup/pooled_astar", "pooled A*"},
       {"planning_throughput/rrt_arena/speedup", "RRT arena"},
       {"governor_throughput/speedup/engine_enumerate", "governor enumerate"},
-      {"governor_throughput/speedup/engine_memoized", "governor memoized"},
       {"mission_latency/speedup_wall", "async mission"},
   };
   PlotOptions opts;

@@ -2,8 +2,8 @@
 //
 // Composes the repo's two observability artifacts — the tracked
 // BENCH_PERF.json trend record and recorded Chrome span traces — into one
-// standalone SVG document: stat tiles (fleet memo / store hit rates,
-// headline speedups), trend bar charts from the bench sections, per-trace
+// standalone SVG document: stat tiles (store warm hit rate, headline
+// speedups), trend bar charts from the bench sections, per-trace
 // stage timeline lanes (the async integrate/plan overlap is visible as
 // overlapping rects on different lanes), per-stage latency summaries
 // (exact p50/p95/p99 through geom::percentile, as fleet reports compute

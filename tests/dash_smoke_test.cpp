@@ -71,8 +71,7 @@ TEST(DashSmokeTest, CommittedBenchRecordRendersWellFormed) {
   EXPECT_GE(stats.svg_elements, 2u);  // root + at least one nested chart
   EXPECT_GT(stats.rects, 10u);        // tiles + bars
   EXPECT_GT(stats.texts, 20u);
-  // The hit-rate tiles read straight from the committed record.
-  EXPECT_NE(svg.find("fleet solver memo hit rate"), std::string::npos);
+  // The hit-rate tile reads straight from the committed record.
   EXPECT_NE(svg.find("result store warm hit rate"), std::string::npos);
 }
 

@@ -1,7 +1,6 @@
 // DecisionEngine vs frozen seed governor (tests/reference_governor.h):
 // randomized profile x budget x strategy grids must produce BIT-IDENTICAL
-// policies, objectives and budget_met flags, whether the engine answers
-// from enumeration or from its solver memo, and the engine's space profile
+// policies, objectives and budget_met flags, and the engine's space profile
 // must reproduce core::profileSpace bit-for-bit under arbitrary
 // map-change / trajectory-change / hover schedules.
 #include <gtest/gtest.h>
@@ -136,80 +135,9 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyGrid,
                                            StrategyType::HysteresisExhaustive,
                                            StrategyType::HysteresisGreedy));
 
-TEST(GovernorEquivalenceTest, MemoHitsAreBitIdenticalToEnumeration) {
-  // Revisit a pool of profiles many times in interleaved order: the replays
-  // answer from the memo table and must still match the frozen reference
-  // exactly. This is the cached-answer == enumeration contract.
-  const KnobConfig knobs;
-  const LatencyPredictor predictor = calibrated(knobs);
-  DecisionEngine::Config config;
-  config.knobs = knobs;
-  DecisionEngine engine(config, predictor);
-  reference::RoboRunGovernor ref(knobs, BudgeterConfig{}, predictor, knobs.fixed_overhead);
-
-  Rng rng(101);
-  std::vector<SpaceProfile> pool;
-  for (int i = 0; i < 40; ++i) pool.push_back(randomProfile(rng));
-
-  for (int round = 0; round < 6; ++round) {
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      // Deterministic shuffle of the visit order per round.
-      const SpaceProfile& profile = pool[(i * 7 + static_cast<std::size_t>(round) * 13) %
-                                         pool.size()];
-      expectDecisionIdentical(engine.decide(profile), ref.decide(profile), "memo replay");
-    }
-  }
-  const EngineStats stats = engine.stats();
-  // Every revisit after the first round must be a hit (40 distinct keys in
-  // a 1024-slot table cannot thrash the probe windows).
-  EXPECT_GE(stats.solver_memo_hits, pool.size() * 4);
-  EXPECT_LE(stats.solver_memo_misses, pool.size() + 8);
-}
-
-TEST(GovernorEquivalenceTest, MemoDisabledStillMatchesReference) {
-  // solver_memo_capacity = 0: every decision enumerates through
-  // GovernorSolver::pick; answers must be unchanged.
-  const KnobConfig knobs;
-  const LatencyPredictor predictor = calibrated(knobs);
-  DecisionEngine::Config config;
-  config.knobs = knobs;
-  config.solver_memo_capacity = 0;
-  DecisionEngine engine(config, predictor);
-  reference::RoboRunGovernor ref(knobs, BudgeterConfig{}, predictor, knobs.fixed_overhead);
-
-  Rng rng(202);
-  for (int i = 0; i < 200; ++i) {
-    const SpaceProfile profile = randomProfile(rng);
-    expectDecisionIdentical(engine.decide(profile), ref.decide(profile), "memo off");
-  }
-  EXPECT_EQ(engine.stats().solver_memo_hits, 0u);
-}
-
-TEST(GovernorEquivalenceTest, ClearMemoAndResetPreserveAnswers) {
-  const KnobConfig knobs;
-  const LatencyPredictor predictor = calibrated(knobs);
-  DecisionEngine::Config config;
-  config.knobs = knobs;
-  DecisionEngine engine(config, predictor);
-  reference::RoboRunGovernor ref(knobs, BudgeterConfig{}, predictor, knobs.fixed_overhead);
-
-  Rng rng(303);
-  std::vector<SpaceProfile> pool;
-  for (int i = 0; i < 20; ++i) pool.push_back(randomProfile(rng));
-
-  for (const auto& p : pool)
-    expectDecisionIdentical(engine.decide(p), ref.decide(p), "before clear");
-  engine.clearMemo();
-  for (const auto& p : pool)
-    expectDecisionIdentical(engine.decide(p), ref.decide(p), "after clear");
-  engine.resetStrategy();
-  for (const auto& p : pool)
-    expectDecisionIdentical(engine.decide(p), ref.decide(p), "after reset");
-}
-
 TEST(GovernorEquivalenceTest, CustomKnobConfigsMatchReference) {
   // Non-default ladders / ranges / overheads keep the equivalence: the
-  // enumeration and the memo key must not bake in Table II.
+  // enumeration must not bake in Table II.
   KnobConfig knobs;
   knobs.voxel_min = 0.25;
   knobs.precision_levels = 5;

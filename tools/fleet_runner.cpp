@@ -4,14 +4,14 @@
 // covering every registered generator family, or the paper's evaluation grid
 // (--grid) — admits it into a scenario::FleetScheduler, and serves every
 // case across a worker pool (one ticket queue over --threads workers) with
-// the pooled DecisionEngine memo + per-worker PlannerArenas.
+// one shared DecisionEngine + per-worker PlannerArenas.
 //
 // Output contract (see src/scenario/fleet_report.h):
 //   --out         deterministic result JSON — byte-identical for any
 //                 --threads value on the same workload
 //   --bench-json  this run's measurements (missions/s, thread count,
-//                 shared-engine memo hit-rate across tenants, stage wall
-//                 histograms, per-epoch staleness, per-case walls)
+//                 engine and store counters, stage wall histograms,
+//                 per-epoch staleness, per-case walls)
 //
 // Usage:
 //   fleet_runner [--catalog file | --grid smoke|small|paper [--max-envs N]]
@@ -96,7 +96,7 @@ void usage(std::ostream& os) {
         "array; the exit code is the failure count (capped at 100).\n"
         "\n"
         "--threads workers pull cases from one queue, all deciding through one\n"
-        "shared engine memo. --pipeline picks the INTRA-MISSION execution mode:\n"
+        "shared engine. --pipeline picks the INTRA-MISSION execution mode:\n"
         "sync (the bitwise-replayable anchor, default) or async (the\n"
         "pipelined executor — deterministic, but its mission numbers differ\n"
         "from sync, so the --out document carries the mode). A catalog line\n"
@@ -374,10 +374,8 @@ int main(int argc, char** argv) {
          << " s (" << result.missions_per_sec << " missions/s), " << reached
          << " reached goal";
     if (failures > 0) line << ", " << failures << " quarantined";
-    line.precision(1);
-    line << "; engine memo hit-rate " << 100.0 * result.engine.solverMemoHitRate()
-         << "% across tenants";
     if (result.store_enabled) {
+      line.precision(1);
       const store::StoreStats& s = result.store;
       line << "; result store " << s.hits() << " hit(s) / " << s.misses << " miss(es) ("
            << 100.0 * s.hitRate() << "%), " << s.inserts << " inserted";
